@@ -7,8 +7,11 @@ intervals (wildboot), Monte Carlo benchmark suites (simbench), and CSV
 ingestion plus report emission (dataio, report).
 """
 
+# The one source of the version: pyproject.toml reads it, and reports
+# stamp it.  Defined before the submodule imports so report can use it.
+__version__ = "0.1.0"
+
 from .cluster import (
-    ClusterConfig,
     ClusterFitResult,
     cluster_covariance,
     fit_clustered,
@@ -46,7 +49,7 @@ from .exceptions import (
     TooManyFailures,
 )
 from .report import ReportDocument, emit_report, fit_block
-from .rootfind import SearchConfig, SolverDiagnostics
+from .rootfind import SolverDiagnostics
 from .simbench import (
     BenchmarkReport,
     ClusterBenchmarkConfig,
@@ -79,15 +82,12 @@ from .single import (
 )
 from .wildboot import BootstrapConfig, BootstrapResult, wild_bootstrap_ci
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AllCandidatesFailed",
     "BenchmarkReport",
     "BootstrapConfig",
     "BootstrapResult",
     "ClusterBenchmarkConfig",
-    "ClusterConfig",
     "ClusterFitResult",
     "ClusterScenario",
     "ClusteredDataset",
@@ -113,7 +113,6 @@ __all__ = [
     "ParseError",
     "ReportDocument",
     "ScreenEntry",
-    "SearchConfig",
     "SingleBenchmarkConfig",
     "SingleScenario",
     "SingularInformation",

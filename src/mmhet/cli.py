@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cluster import ClusterConfig, fit_clustered
+from .cluster import fit_clustered
 from .core import DEFAULT_CANDIDATES, VarianceSpec
 from .dataio import IngestOptions, InputTable, ingest_csv
 from .exceptions import (
@@ -33,6 +33,7 @@ from .report import (
     screen_blocks,
 )
 from .simbench import (
+    DEFAULT_MASTER_SEED,
     ClusterBenchmarkConfig,
     SingleBenchmarkConfig,
     SingleScenario,
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="run a Monte Carlo suite")
     p_bench.add_argument("--suite", choices=["single", "clustered"], required=True)
     p_bench.add_argument("--replications", type=int, default=1000)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p_bench.add_argument("--out", required=True,
                          help="output stem; writes <stem>.csv and <stem>.json")
     p_bench.add_argument("--threads", type=int, default=None)
@@ -238,7 +239,7 @@ def _cmd_cluster(ns) -> int:
     table = _ingest(ns)
     data = table.to_clustered()
     doc = _base_doc(ns, "cluster", table)
-    result = fit_clustered(data, ns.variance, ClusterConfig(alpha=ns.alpha))
+    result = fit_clustered(data, ns.variance, FitConfig(alpha=ns.alpha))
     doc.fits = [fit_block(None, result, data=data.pooled())]
     _write(ns, doc)
     return EXIT_OK if result.converged else EXIT_NONCONVERGED

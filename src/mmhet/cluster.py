@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     ClusteredDataset,
@@ -31,6 +30,7 @@ from .core import (
     eval_h,
     mm_gradient,
     mm_mean,
+    wald_z,
 )
 from .exceptions import (
     DegenerateDesign,
@@ -39,31 +39,19 @@ from .exceptions import (
     NonPositiveGamma,
     SingularInformation,
 )
-from .rootfind import SearchConfig, SolverDiagnostics, solve_scalar
+from .rootfind import SolverDiagnostics, k_bracket, solve_scalar
 from .single import COND_LIMIT, FitConfig, fit_single
 
 # Relative floor for the moment-matched gamma, scaled by the pooled
 # response variance.
 GAMMA_FLOOR_REL = 1e-12
 
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    alpha: float = 0.05
-    search: SearchConfig = SearchConfig()
-    max_iter: int = 200
-    rel_tol: float = 1e-8
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
+# Alternation cap, relative-change stopping rule over (vmax, km, tau2,
+# gamma), and the step fraction kept when a moment update raises the
+# working -2 log-likelihood.
+MAX_ITER = 200
+REL_TOL = 1e-8
+DAMPING = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +146,7 @@ def _cluster_score_terms(ks, s, y, h, starts, tau2, gamma):
 
 
 def gls_km_profile(
-    data: ClusteredDataset,
-    spec: VarianceSpec,
-    tau2: float,
-    gamma: float,
-    search: SearchConfig | None = None,
+    data: ClusteredDataset, spec: VarianceSpec, tau2: float, gamma: float
 ) -> tuple[float, float, SolverDiagnostics]:
     """Solve the km component of the stacked GLS score at fixed (tau2, gamma).
 
@@ -171,23 +155,15 @@ def gls_km_profile(
     """
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
-    cfg = search if search is not None else SearchConfig()
     s, y, h, starts = _stack(data, spec)
     if np.unique(s).size < 3:
         raise DegenerateDesign(
             "need at least 3 distinct substrate levels across clusters"
         )
-    k_lo, k_hi = cfg.resolve_bracket(s)
-
-    def eval_grid(ks):
-        score, scale, _ = _cluster_score_terms(ks, s, y, h, starts, tau2, gamma)
-        return score, scale
-
-    def eval_one(k):
-        score, scale, _ = _cluster_score_terms(k, s, y, h, starts, tau2, gamma)
-        return float(score[0]), float(scale[0])
-
-    km, diag = solve_scalar(eval_grid, eval_one, k_lo, k_hi, cfg)
+    km, diag = solve_scalar(
+        lambda ks: _cluster_score_terms(ks, s, y, h, starts, tau2, gamma)[:2],
+        *k_bracket(s),
+    )
     _, _, vhat = _cluster_score_terms(km, s, y, h, starts, tau2, gamma)
     return km, float(vhat[0]), diag
 
@@ -296,18 +272,18 @@ def _rel_change(old: float, new: float) -> float:
 
 
 def fit_clustered(
-    data: ClusteredDataset, spec: VarianceSpec, conf: ClusterConfig | None = None
+    data: ClusteredDataset, spec: VarianceSpec, conf: FitConfig | None = None
 ) -> ClusterFitResult:
     """Alternate the GLS profile and the moment update to a fixed point.
 
     Initialization pools all clusters through the single-curve fit under the
-    same working shape.  Nonconvergence within max_iter returns the last
+    same working shape.  Nonconvergence within MAX_ITER returns the last
     iterate flagged converged=False rather than raising.
     """
-    conf = conf if conf is not None else ClusterConfig()
+    conf = conf if conf is not None else FitConfig()
     pooled = data.pooled()
     try:
-        init = fit_single(pooled, spec, FitConfig(alpha=conf.alpha, search=conf.search))
+        init = fit_single(pooled, spec, conf)
         params = init.params
     except NonconvergedFit as err:
         if err.result is None:
@@ -319,8 +295,8 @@ def fit_clustered(
     converged = False
     iterations = 0
     diag: SolverDiagnostics | None = None
-    for iterations in range(1, conf.max_iter + 1):
-        km, vmax, diag = gls_km_profile(data, spec, tau2, gamma, conf.search)
+    for iterations in range(1, MAX_ITER + 1):
+        km, vmax, diag = gls_km_profile(data, spec, tau2, gamma)
         if not np.isfinite(vmax) or vmax <= 0:
             raise DegenerateDesign(
                 f"GLS plug-in vmax = {vmax!r}; data are not consistent with "
@@ -333,8 +309,8 @@ def fit_clustered(
         if _neg2_working_loglik(
             data, new_params, new_tau2, new_gamma, spec
         ) > _neg2_working_loglik(data, new_params, tau2, gamma, spec):
-            new_tau2 = tau2 + conf.damping * (new_tau2 - tau2)
-            new_gamma = gamma + conf.damping * (new_gamma - gamma)
+            new_tau2 = tau2 + DAMPING * (new_tau2 - tau2)
+            new_gamma = gamma + DAMPING * (new_gamma - gamma)
         change = max(
             _rel_change(params.vmax, new_params.vmax),
             _rel_change(params.km, new_params.km),
@@ -342,13 +318,13 @@ def fit_clustered(
             _rel_change(gamma, new_gamma),
         )
         params, tau2, gamma = new_params, new_tau2, new_gamma
-        if change < conf.rel_tol:
+        if change < REL_TOL:
             converged = True
             break
 
     cov = cluster_covariance(data, params, tau2, gamma, spec)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    z = float(norm.ppf(1.0 - conf.alpha / 2.0))
+    z = wald_z(conf.alpha)
     return ClusterFitResult(
         params=params,
         tau2=tau2,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
 
@@ -248,3 +249,8 @@ def mm_gradient(s, params: MMParams) -> np.ndarray:
 
 def residuals(data: Dataset, params: MMParams) -> np.ndarray:
     return data.y - mm_mean(data.s, params)
+
+
+def wald_z(alpha: float) -> float:
+    """Standard normal quantile z_{1 - alpha/2} of a two-sided Wald interval."""
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)

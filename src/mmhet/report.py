@@ -14,15 +14,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
+from . import __version__
 from .cluster import ClusterFitResult
-from .core import Dataset, eval_h, mm_mean
+from .core import Dataset, eval_h, mm_mean, wald_z
 from .simbench import BenchmarkReport
 from .single import FitResult, GroupFitResult, ScreenEntry
 from .wildboot import BootstrapResult
-
-TOOL_VERSION = "0.1.0"
 
 CURVE_POINTS = 101
 
@@ -102,7 +100,7 @@ def _curve_block(data: Dataset, result: FitResult | ClusterFitResult) -> dict:
     """Plot-ready fitted curve with a pointwise prediction band."""
     s = np.linspace(float(data.s.min()), float(data.s.max()), CURVE_POINTS)
     mu = mm_mean(s, result.params)
-    z = float(norm.ppf(1.0 - result.alpha / 2.0))
+    z = wald_z(result.alpha)
     marginal = result.gamma * eval_h(result.variance_spec, s)
     if isinstance(result, ClusterFitResult):
         frac = s / (result.params.km + s)
@@ -231,7 +229,7 @@ class ReportDocument:
     panel: dict | None = None
     benchmark: dict | None = None
     ingest: dict | None = None
-    version: str = TOOL_VERSION
+    version: str = __version__
 
     @classmethod
     def for_benchmark(

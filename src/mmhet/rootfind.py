@@ -18,44 +18,30 @@ from scipy.optimize import brentq
 
 from .exceptions import NoFiniteEvaluation
 
+# Log-grid size of the sign scan.
+GRID_POINTS = 256
+# |F| tolerance relative to the larger product term of the equation at the
+# solution.  The Brent stage polishes to machine precision, so it holds with
+# margin whenever a bracket exists.
+TOL_F_REL = 1e-10
+# Golden-section stopping width on log k, i.e. a relative tolerance on k.
+GOLDEN_TOL_REL = 1e-10
+
 _GOLDEN_MAX_ITER = 300
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Bracket and tolerances for the half-saturation solve.
-
-    ``k_lo``/``k_hi`` default to 1e-4 times the smallest positive substrate
-    and 1e4 times the largest.  ``tol_f_rel`` is relative to the magnitude
-    of the larger product term of the profile equation at the solution;
-    ``tol_k_rel`` is the relative bracket-width criterion.  The Brent stage
-    polishes to machine precision, so both criteria hold with margin.
-    """
-
-    k_lo: float | None = None
-    k_hi: float | None = None
-    grid_points: int = 256
-    tol_f_rel: float = 1e-10
-    tol_k_rel: float = 1e-10
-    golden_tol_rel: float = 1e-10
-
-    def __post_init__(self):
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
-        for name in ("tol_f_rel", "tol_k_rel", "golden_tol_rel"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    def resolve_bracket(self, s: np.ndarray) -> tuple[float, float]:
-        positive = s[s > 0]
-        if positive.size == 0:
-            raise ValueError("need at least one positive substrate concentration")
-        lo = self.k_lo if self.k_lo is not None else 1e-4 * float(positive.min())
-        hi = self.k_hi if self.k_hi is not None else 1e4 * float(s.max())
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):
-            raise ValueError(f"invalid bracket ({lo}, {hi})")
-        return float(lo), float(hi)
+def k_bracket(s: np.ndarray) -> tuple[float, float]:
+    """Search bracket for k: 1e-4 times the smallest positive substrate
+    level up to 1e4 times the largest."""
+    positive = s[s > 0]
+    if positive.size == 0:
+        raise ValueError("need at least one positive substrate concentration")
+    lo = 1e-4 * float(positive.min())
+    hi = 1e4 * float(s.max())
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):
+        raise ValueError(f"invalid bracket ({lo}, {hi})")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -69,20 +55,23 @@ class SolverDiagnostics:
 
 
 def solve_scalar(
-    eval_grid: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    eval_one: Callable[[float], tuple[float, float]],
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     k_lo: float,
     k_hi: float,
-    cfg: SearchConfig,
 ) -> tuple[float, SolverDiagnostics]:
     """Locate a root of a scalar profile equation on [k_lo, k_hi].
 
-    ``eval_grid(ks)`` returns (values, scales) arrays; ``eval_one(k)`` the
-    same for a single point.  ``scales`` carries the natural magnitude of
-    the equation at each k, used for the relative |F| convergence check.
+    ``evaluate(ks)`` maps an array of k values to (values, scales) arrays.
+    ``scales`` carries the natural magnitude of the equation at each k, used
+    for the relative |F| convergence check.
     """
-    ks = np.geomspace(k_lo, k_hi, cfg.grid_points)
-    values, _ = eval_grid(ks)
+
+    def eval_one(k: float) -> tuple[float, float]:
+        value, scale = evaluate(k)
+        return float(value[0]), float(scale[0])
+
+    ks = np.geomspace(k_lo, k_hi, GRID_POINTS)
+    values, _ = evaluate(ks)
     finite = np.isfinite(values)
     if not finite.any():
         raise NoFiniteEvaluation(
@@ -123,7 +112,7 @@ def solve_scalar(
             full_output=True,
         )
         f_root, scale = eval_one(float(root))
-        tol_f = cfg.tol_f_rel * scale
+        tol_f = TOL_F_REL * scale
         converged = bool(abs(f_root) <= tol_f or res.converged)
         diag = SolverDiagnostics(
             bracket=(k_lo, k_hi),
@@ -136,9 +125,9 @@ def solve_scalar(
         return float(root), diag
 
     # No sign change anywhere: golden-section minimization of F^2 in log k.
-    k, iterations = _golden_min_sq(eval_one, k_lo, k_hi, cfg.golden_tol_rel)
+    k, iterations = _golden_min_sq(eval_one, k_lo, k_hi, GOLDEN_TOL_REL)
     f_at, scale = eval_one(k)
-    converged = bool(np.isfinite(f_at) and abs(f_at) <= cfg.tol_f_rel * scale)
+    converged = bool(np.isfinite(f_at) and abs(f_at) <= TOL_F_REL * scale)
     diag = SolverDiagnostics(
         bracket=(k_lo, k_hi),
         used_root=False,

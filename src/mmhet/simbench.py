@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cluster import ClusterConfig, fit_clustered
+from .cluster import fit_clustered
 from .core import (
     DEFAULT_CANDIDATES,
     ClusteredDataset,
@@ -82,7 +82,6 @@ class SingleScenario:
     truth: MMParams = MMParams(100.0, 20.0)
     replications: int = 1000
     master_seed: int = DEFAULT_MASTER_SEED
-    innovation: str = "normal"
 
     def __post_init__(self):
         object.__setattr__(self, "shape", VarianceShape(self.shape))
@@ -101,8 +100,6 @@ class SingleScenario:
 
 def generate_single(scenario: SingleScenario, replicate_index: int) -> Dataset:
     """Replicate dataset from the scenario's per-replicate stream."""
-    if scenario.innovation != "normal":
-        raise ValueError(f"unknown innovation law {scenario.innovation!r}")
     s = scenario.grid()
     rng = _stream(scenario.master_seed, SINGLE_STREAM, replicate_index)
     z = rng.standard_normal(s.size)
@@ -462,7 +459,7 @@ def _cluster_record(data: ClusteredDataset, spec: VarianceSpec, alpha: float) ->
     """(ok, vmax, km, se_v, se_k, lo_v, hi_v, lo_k, hi_k, gamma, tau2, runtime)."""
     start = time.perf_counter()
     try:
-        fit = fit_clustered(data, spec, ClusterConfig(alpha=alpha))
+        fit = fit_clustered(data, spec, FitConfig(alpha=alpha))
     except MMHetError:
         return (False,) + (np.nan,) * 10 + (time.perf_counter() - start,)
     elapsed = time.perf_counter() - start

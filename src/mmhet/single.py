@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     DEFAULT_CANDIDATES,
@@ -34,6 +33,7 @@ from .core import (
     eval_h,
     mm_gradient,
     mm_mean,
+    wald_z,
 )
 from .exceptions import (
     AllCandidatesFailed,
@@ -42,7 +42,7 @@ from .exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from .rootfind import SearchConfig, SolverDiagnostics, solve_scalar
+from .rootfind import SolverDiagnostics, k_bracket, solve_scalar
 
 # Condition-number cutoff above which the information matrix is treated
 # as singular.
@@ -55,7 +55,6 @@ N_PARAMS = 3
 @dataclass(frozen=True)
 class FitConfig:
     alpha: float = 0.05
-    search: SearchConfig = SearchConfig()
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -133,24 +132,12 @@ def _require_identifiable(data: Dataset) -> None:
         )
 
 
-def solve_km(
-    data: Dataset, spec: VarianceSpec, search: SearchConfig | None = None
-) -> tuple[float, SolverDiagnostics]:
+def solve_km(data: Dataset, spec: VarianceSpec) -> tuple[float, SolverDiagnostics]:
     """Root of the profile equation, with bracket/fallback diagnostics."""
     _require_identifiable(data)
-    cfg = search if search is not None else SearchConfig()
     h = eval_h(spec, data.s)
     s, y = data.s, data.y
-    k_lo, k_hi = cfg.resolve_bracket(s)
-
-    def eval_grid(ks):
-        return _profile_terms(ks, s, y, h)
-
-    def eval_one(k):
-        value, scale = _profile_terms(k, s, y, h)
-        return float(value[0]), float(scale[0])
-
-    return solve_scalar(eval_grid, eval_one, k_lo, k_hi, cfg)
+    return solve_scalar(lambda ks: _profile_terms(ks, s, y, h), *k_bracket(s))
 
 
 def gamma_hat(data: Dataset, params: MMParams, spec: VarianceSpec) -> float:
@@ -207,7 +194,7 @@ def fit_single(
     when the scalar solve had to fall back without reaching a root.
     """
     conf = conf if conf is not None else FitConfig()
-    km, diag = solve_km(data, spec, conf.search)
+    km, diag = solve_km(data, spec)
     h = eval_h(spec, data.s)
     vmax = _vmax_plugin_arrays(km, data.s, data.y, h)
     if not np.isfinite(vmax) or vmax <= 0:
@@ -219,7 +206,7 @@ def fit_single(
     gamma = gamma_hat(data, params, spec)
     cov = plugin_covariance(data, params, gamma, spec)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    z = float(norm.ppf(1.0 - conf.alpha / 2.0))
+    z = wald_z(conf.alpha)
     ci_vmax = (vmax - z * se[0], vmax + z * se[0])
     ci_km = (km - z * se[1], km + z * se[1])
     loglik, aic, bic = information_criteria(data, params, gamma, spec)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mmhet import (
-    ClusterConfig,
     ClusteredDataset,
     Dataset,
     MMParams,
@@ -230,9 +229,11 @@ def test_balanced_design_converges_immediately(rng):
     assert res.params.km == pytest.approx(pooled.params.km, rel=1e-7)
 
 
-def test_iteration_cap_flags_nonconvergence(rng):
+def test_iteration_cap_flags_nonconvergence(rng, monkeypatch):
+    monkeypatch.setattr("mmhet.cluster.MAX_ITER", 1)
+    monkeypatch.setattr("mmhet.cluster.REL_TOL", 1e-14)
     data = _make_clustered(rng, m=6, n=10, balanced=False)
-    res = fit_clustered(data, POW_HALF, ClusterConfig(max_iter=1, rel_tol=1e-14))
+    res = fit_clustered(data, POW_HALF)
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.params.vmax) and np.isfinite(res.params.km)
@@ -245,16 +246,3 @@ def test_fit_clustered_insufficient_replication():
     )
     with pytest.raises(InsufficientReplication):
         fit_clustered(ClusteredDataset(clusters=singles), CONSTANT)
-
-
-def test_cluster_config_validation():
-    with pytest.raises(ValueError):
-        ClusterConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        ClusterConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        ClusterConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        ClusterConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        ClusterConfig(damping=1.5)

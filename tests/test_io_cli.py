@@ -22,6 +22,7 @@ from mmhet.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, cli_dis
 from mmhet.dataio import IngestOptions
 from mmhet.exceptions import EmptyAfterFiltering, MissingColumn, ParseError
 from mmhet.report import FIT_CSV_COLUMNS, METRIC_CSV_COLUMNS, screen_blocks
+from mmhet.simbench import DEFAULT_MASTER_SEED
 
 TRUTH = MMParams(100.0, 20.0)
 
@@ -434,6 +435,20 @@ def test_cli_benchmark_byte_identical(tmp_path):
     assert {row["scenario"] for row in doc["benchmark"]["rows"]} == {"mm", "exp", "hill"}
     # timing excluded from the canonical document
     assert all(row["mean_runtime_s"] is None for row in doc["benchmark"]["rows"])
+
+
+def test_cli_benchmark_default_seed_is_master_seed(tmp_path):
+    # Omitting --seed runs the shipped reference configuration.
+    args = ["benchmark", "--suite", "single", "--replications", "2"]
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    assert cli_dispatch(args + ["--out", str(default)]) == EXIT_OK
+    seed = ["--seed", str(DEFAULT_MASTER_SEED)]
+    assert cli_dispatch(args + seed + ["--out", str(explicit)]) == EXIT_OK
+    for suffix in (".json", ".csv"):
+        assert (
+            default.with_suffix(suffix).read_bytes()
+            == explicit.with_suffix(suffix).read_bytes()
+        )
 
 
 def test_cli_benchmark_threads_env(tmp_path, monkeypatch):

@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 
 from mmhet.exceptions import NoFiniteEvaluation
-from mmhet.rootfind import SearchConfig, solve_scalar
+from mmhet.rootfind import k_bracket, solve_scalar
 
 
 def _wrap(f):
     # Adapt a plain scalar function to the (values, scales) contract.
-    def eval_grid(ks):
-        vals = np.array([f(k) for k in ks])
+    def evaluate(ks):
+        vals = np.array([f(k) for k in np.atleast_1d(ks)], dtype=np.float64)
         return vals, np.ones_like(vals)
 
-    def eval_one(k):
-        return f(k), 1.0
-
-    return eval_grid, eval_one
+    return evaluate
 
 
 def test_simple_root_to_machine_precision():
-    eval_grid, eval_one = _wrap(np.log)
-    root, diag = solve_scalar(eval_grid, eval_one, 0.01, 100.0, SearchConfig())
+    root, diag = solve_scalar(_wrap(np.log), 0.01, 100.0)
     assert root == pytest.approx(1.0, rel=1e-14)
     assert diag.used_root
     assert diag.converged
@@ -33,16 +29,14 @@ def test_first_bracket_wins_with_multiple_roots():
     # endpoints are chosen so no geomspace grid point lands on a root
     # exactly (a round bracket like [1e-2, 1e3] puts k=1 on the grid and
     # triggers the exact-zero short circuit instead).
-    eval_grid, eval_one = _wrap(lambda k: np.sin(np.log(k)))
-    root, diag = solve_scalar(eval_grid, eval_one, 1.3e-2, 1.1e3, SearchConfig())
+    root, diag = solve_scalar(_wrap(lambda k: np.sin(np.log(k))), 1.3e-2, 1.1e3)
     assert root == pytest.approx(np.exp(-np.pi), rel=1e-12)
     assert diag.sign_changes == 4
     assert diag.used_root
 
 
 def test_exact_grid_zero_short_circuits():
-    eval_grid, eval_one = _wrap(lambda k: 0.0)
-    root, diag = solve_scalar(eval_grid, eval_one, 0.5, 50.0, SearchConfig())
+    root, diag = solve_scalar(_wrap(lambda k: 0.0), 0.5, 50.0)
     assert root == 0.5  # first grid point
     assert diag.iterations == 0
     assert diag.f_at_solution == 0.0
@@ -52,8 +46,7 @@ def test_exact_grid_zero_short_circuits():
 def test_golden_fallback_when_no_sign_change():
     # F >= 0 everywhere with the minimum at k = 5: no bracket exists, so
     # the solver minimizes F^2 on the log scale instead.
-    eval_grid, eval_one = _wrap(lambda k: np.log(k / 5.0) ** 2)
-    root, diag = solve_scalar(eval_grid, eval_one, 0.01, 100.0, SearchConfig())
+    root, diag = solve_scalar(_wrap(lambda k: np.log(k / 5.0) ** 2), 0.01, 100.0)
     assert not diag.used_root
     assert root == pytest.approx(5.0, rel=1e-8)
     assert diag.converged
@@ -65,35 +58,20 @@ def test_nan_region_is_skipped():
     def f(k):
         return np.log(k) if k >= 0.1 else np.nan
 
-    eval_grid, eval_one = _wrap(f)
-    root, diag = solve_scalar(eval_grid, eval_one, 0.01, 100.0, SearchConfig())
+    root, diag = solve_scalar(_wrap(f), 0.01, 100.0)
     assert root == pytest.approx(1.0, rel=1e-12)
     assert diag.converged
 
 
 def test_all_nan_raises():
-    eval_grid, eval_one = _wrap(lambda k: np.nan)
     with pytest.raises(NoFiniteEvaluation):
-        solve_scalar(eval_grid, eval_one, 0.01, 100.0, SearchConfig())
+        solve_scalar(_wrap(lambda k: np.nan), 0.01, 100.0)
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(grid_points=4)
-    with pytest.raises(ValueError):
-        SearchConfig(tol_f_rel=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(tol_k_rel=-1e-10)
-
-
-def test_resolve_bracket_defaults_and_overrides():
+def test_k_bracket_defaults():
     s = np.array([1.0, 10.0, 100.0])
-    lo, hi = SearchConfig().resolve_bracket(s)
+    lo, hi = k_bracket(s)
     assert lo == pytest.approx(1e-4)
     assert hi == pytest.approx(1e6)
-    lo, hi = SearchConfig(k_lo=0.5, k_hi=20.0).resolve_bracket(s)
-    assert (lo, hi) == (0.5, 20.0)
     with pytest.raises(ValueError):
-        SearchConfig().resolve_bracket(np.zeros(3))
-    with pytest.raises(ValueError):
-        SearchConfig(k_lo=5.0, k_hi=1.0).resolve_bracket(s)
+        k_bracket(np.zeros(3))

@@ -107,8 +107,6 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         SingleScenario(shape="cauchy")
     with pytest.raises(ValueError):
-        generate_single(SingleScenario(innovation="t5"), 0)
-    with pytest.raises(ValueError):
         ClusterScenario(m=1)
     with pytest.raises(ValueError):
         ClusterScenario(reps_per_level=0)
