@@ -168,9 +168,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.s.size)
 
-    def distinct_levels(self) -> int:
-        return int(np.unique(self.s).size)
-
 
 @dataclass(frozen=True, eq=False)
 class ClusteredDataset:

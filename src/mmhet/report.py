@@ -180,6 +180,7 @@ def fit_block(
             "t_quantiles": [[float(v) for v in row] for row in bootstrap.t_quantiles],
             "replicates_used": bootstrap.replicates_used,
             "failures": bootstrap.failures,
+            "failure_reasons": dict(bootstrap.failure_reasons),
             "flagged": bootstrap.flagged,
             "level": bootstrap.level,
         }

@@ -16,6 +16,10 @@ the dispersion is gamma = mean(resid^2 / h), and plug-in Wald inference
 uses (gamma / n) * Minv with M = mean over i of g_i g_i^T / h_i.  These
 mean equations coincide with Gaussian weighted nonlinear least squares
 with weights 1/h_i, which is what the test-suite oracles exploit.
+
+``fit_rows`` runs the same fit for many response vectors over one design
+(the wild bootstrap's refits): one grid evaluation for all of them, a
+lockstep root refinement, and closed-form plug-ins per row.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .core import (
     MMParams,
     VarianceSpec,
     eval_h,
-    mm_gradient,
     mm_mean,
     wald_z,
 )
@@ -42,7 +45,7 @@ from .exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from .rootfind import SolverDiagnostics, k_bracket, solve_scalar
+from .rootfind import SolverDiagnostics, k_bracket, log_grid, solve_rows, solve_scalar
 
 # Condition-number cutoff above which the information matrix is treated
 # as singular.
@@ -50,6 +53,11 @@ COND_LIMIT = 1e12
 
 # Parameter count charged by the information criteria: vmax, km, gamma.
 N_PARAMS = 3
+
+# Rows fit_rows evaluates together: enough to amortize numpy's per-call
+# cost, few enough that the (rows, GRID_POINTS) grid arrays do not raise
+# peak memory.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -105,16 +113,25 @@ def profile_F(k: float, data: Dataset, spec: VarianceSpec) -> float:
     return float(value[0])
 
 
-def _vmax_plugin_arrays(km: float, s, y, h) -> float:
-    d = km + s
+def _vmax_rows(km: np.ndarray, s, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in vmax for row-wise km (rows,) and y (rows, n), with the
+    denominators; a denominator that is not finite and positive cannot
+    identify vmax."""
+    d = km[:, None] + s
     w = s / (d * h)
-    num = float((w * y).sum())
-    den = float((w * s / d).sum())
-    if not np.isfinite(den) or den <= 0:
+    num = (w * y).sum(axis=1)
+    den = (w * s / d).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, den
+
+
+def _vmax_plugin_arrays(km: float, s, y, h) -> float:
+    vmax, den = _vmax_rows(np.array([km]), s, y[None, :], h)
+    if not np.isfinite(den[0]) or den[0] <= 0:
         raise DegenerateDesign(
-            f"vmax plug-in denominator is {den!r}; design cannot identify vmax"
+            f"vmax plug-in denominator is {float(den[0])!r}; design cannot identify vmax"
         )
-    return num / den
+    return float(vmax[0])
 
 
 def vmax_plugin(km: float, data: Dataset, spec: VarianceSpec) -> float:
@@ -125,8 +142,8 @@ def vmax_plugin(km: float, data: Dataset, spec: VarianceSpec) -> float:
     return _vmax_plugin_arrays(km, data.s, data.y, h)
 
 
-def _require_identifiable(data: Dataset) -> None:
-    if data.n < 3 or data.distinct_levels() < 3:
+def _require_identifiable(s: np.ndarray) -> None:
+    if s.size < 3 or np.unique(s).size < 3:
         raise DegenerateDesign(
             "need at least 3 observations over 3 distinct substrate levels"
         )
@@ -134,7 +151,7 @@ def _require_identifiable(data: Dataset) -> None:
 
 def solve_km(data: Dataset, spec: VarianceSpec) -> tuple[float, SolverDiagnostics]:
     """Root of the profile equation, with bracket/fallback diagnostics."""
-    _require_identifiable(data)
+    _require_identifiable(data.s)
     h = eval_h(spec, data.s)
     s, y = data.s, data.y
     return solve_scalar(lambda ks: _profile_terms(ks, s, y, h), *k_bracket(s))
@@ -147,21 +164,50 @@ def gamma_hat(data: Dataset, params: MMParams, spec: VarianceSpec) -> float:
     return float(np.mean(r * r / h))
 
 
+def sym2_inverse(a, b, d):
+    """Closed-form inverse of the symmetric 2x2 matrices [[a, b], [b, d]].
+
+    Works elementwise over arrays and returns (ia, ib, id, ok).  ``ok`` is
+    False where the determinant is not finite and positive or where the
+    2-norm condition number, the squared largest eigenvalue magnitude over
+    the determinant, exceeds COND_LIMIT; the inverse is meaningless there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = a * d - b * b
+        top = 0.5 * np.abs(a + d) + np.hypot(0.5 * (a - d), b)
+        ok = np.isfinite(det) & (det > 0) & (top * top <= COND_LIMIT * det)
+        return d / det, -b / det, a / det, ok
+
+
+def _plugin_cov_rows(s, h, vmax: np.ndarray, km: np.ndarray, gamma: np.ndarray):
+    """Entries (c11, c12, c22) of (gamma / n) * Minv for row-wise (vmax, km,
+    gamma), and the ok mask of sym2_inverse."""
+    d = km[:, None] + s
+    g1 = s / d
+    g2 = -vmax[:, None] * s / (d * d)
+    m11 = (g1 * g1 / h).mean(axis=1)
+    m12 = (g1 * g2 / h).mean(axis=1)
+    m22 = (g2 * g2 / h).mean(axis=1)
+    i11, i12, i22, ok = sym2_inverse(m11, m12, m22)
+    scale = gamma / s.size
+    return scale * i11, scale * i12, scale * i22, ok
+
+
 def plugin_covariance(
     data: Dataset, params: MMParams, gamma: float, spec: VarianceSpec
 ) -> np.ndarray:
     """(gamma / n) * Minv with M = mean of g g^T / h over observations."""
     if not np.isfinite(gamma) or gamma < 0:
         raise ValueError("gamma must be finite and nonnegative")
-    g = mm_gradient(data.s, params)
     h = eval_h(spec, data.s)
-    m = (g.T @ (g / h[:, None])) / data.n
-    if not np.all(np.isfinite(m)) or np.linalg.cond(m) > COND_LIMIT:
+    c11, c12, c22, ok = _plugin_cov_rows(
+        data.s, h, np.array([params.vmax]), np.array([params.km]), gamma
+    )
+    if not ok[0]:
         raise SingularInformation(
             f"information matrix condition exceeds {COND_LIMIT:g}"
         )
-    cov = (gamma / data.n) * np.linalg.inv(m)
-    return (cov + cov.T) / 2.0
+    return np.array([[c11[0], c12[0]], [c12[0], c22[0]]])
 
 
 def information_criteria(
@@ -232,6 +278,79 @@ def fit_single(
             diagnostics=diag,
         )
     return result
+
+
+@dataclass(frozen=True, eq=False)
+class RowFits:
+    """Outcome of fit_rows, one entry per response row."""
+
+    theta: np.ndarray  # (rows, 2): vmax, km; NaN where the row did not fit
+    se: np.ndarray  # (rows, 2) plug-in standard errors
+    solved: np.ndarray  # False where the row is left to fit_single
+    failure: np.ndarray  # exception-class name fit_single raises, else None
+
+
+def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
+    """fit_single's estimates and standard errors for every row of y, all
+    observed on the design s under one variance shape.
+
+    Rows are fit BLOCK_ROWS at a time.  A row's failure is named where
+    fit_single would raise for it.  Rows the batched root stage cannot
+    bracket (see solve_rows) and rows with a non-finite dispersion come back
+    unsolved, for fit_single to decide.
+    """
+    rows = y.shape[0]
+    theta = np.full((rows, 2), np.nan)
+    se = np.full((rows, 2), np.nan)
+    solved = np.ones(rows, dtype=bool)
+    failure = np.full(rows, None, dtype=object)
+    try:
+        _require_identifiable(s)
+    except DegenerateDesign as err:
+        failure[:] = type(err).__name__
+        return RowFits(theta, se, solved, failure)
+    h = eval_h(spec, s)
+    ks = log_grid(*k_bracket(s))
+    d = ks[:, None] + s
+    w = s / (d * h)
+    wd = w / d
+    s3 = (wd * s / d).sum(axis=1)
+    s4 = (w * s / d).sum(axis=1)
+    for first in range(0, rows, BLOCK_ROWS):
+        part = slice(first, first + BLOCK_ROWS)
+        yb = y[part]
+        # The profile equation's two y-dependent sums on the grid.  einsum,
+        # unlike a BLAS matmul, gives each row the same sums whatever rows
+        # share its block.
+        values = np.einsum("rn,kn->rk", yb, w) * s3 - np.einsum("rn,kn->rk", yb, wd) * s4
+        km = solve_rows(values, ks, lambda x, idx: _profile_terms(x, s, yb[idx], h)[0])
+        theta[part], se[part], solved[part], failure[part] = _plugin_rows(s, h, yb, km)
+    return RowFits(theta, se, solved, failure)
+
+
+def _plugin_rows(s, h, y, km):
+    """fit_single's steps after the root for row-wise km (NaN: unsolved)."""
+    theta = np.full((km.size, 2), np.nan)
+    se = np.full((km.size, 2), np.nan)
+    failure = np.full(km.size, None, dtype=object)
+    solved = np.isfinite(km)
+    idx = np.flatnonzero(solved)
+    km = km[idx]
+    vmax, den = _vmax_rows(km, s, y[idx], h)
+    r = y[idx] - vmax[:, None] * (s / (km[:, None] + s))
+    gamma = np.mean(r * r / h, axis=1)
+    c11, _, c22, ok = _plugin_cov_rows(s, h, vmax, km, gamma)
+
+    degenerate = ~(np.isfinite(den) & (den > 0) & np.isfinite(vmax) & (vmax > 0))
+    finite = np.isfinite(gamma)
+    solved[idx] = degenerate | finite
+    singular = ~degenerate & finite & ~ok
+    good = ~degenerate & finite & ok
+    failure[idx[degenerate]] = DegenerateDesign.__name__
+    failure[idx[singular]] = SingularInformation.__name__
+    theta[idx[good]] = np.column_stack([vmax, km])[good]
+    se[idx[good]] = np.sqrt(np.maximum(np.column_stack([c11, c22]), 0.0))[good]
+    return theta, se, solved, failure
 
 
 @dataclass(frozen=True, eq=False)

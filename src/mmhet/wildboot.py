@@ -8,20 +8,22 @@ interval is
     [ theta - q_{1-alpha/2}(t*) * se,  theta - q_{alpha/2}(t*) * se ].
 
 Replicate b draws its multipliers from an independent stream keyed by
-(seed, stream tag, b), so results are identical no matter how replicates
-are scheduled; quantiles are the usual linear-interpolation (type 7) ones.
+(seed, stream tag, b).  Refits run through single.fit_rows, which works
+in fixed blocks of replicates; every row's arithmetic is independent of the
+rows beside it, so results are identical whatever the block size.
+Quantiles are the usual linear-interpolation (type 7) ones.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, mm_mean
 from .exceptions import MMHetError, TooManyFailures
-from .single import FitConfig, FitResult, fit_single
+from .single import FitConfig, FitResult, fit_rows, fit_single
 
 # Stream tag separating bootstrap draws from the benchmark generators.
 BOOT_STREAM = 3
@@ -37,6 +39,9 @@ MAMMEN_P_LOW = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
 FLAG_FAILURE_FRAC = 0.05
 MAX_FAILURE_FRAC = 0.20
 
+# Failure reason of a refit whose studentized pivot is not finite.
+NONFINITE_PIVOT = "nonfinite_pivot"
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -44,7 +49,6 @@ class BootstrapConfig:
     multiplier: str = "rademacher"
     seed: int = 0
     level: float = 0.95
-    threads: int = 1
 
     def __post_init__(self):
         if self.replicates < 99:
@@ -55,8 +59,6 @@ class BootstrapConfig:
             raise ValueError("level must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +70,8 @@ class BootstrapResult:
     failures: int
     flagged: bool
     level: float
+    # failed refits by exception-class name (or NONFINITE_PIVOT); sums to failures
+    failure_reasons: dict[str, int]
 
 
 def draw_multipliers(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,25 +87,51 @@ def _replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, BOOT_STREAM, index)))
 
 
-def _one_replicate(index, conf, s, mu, resid, spec, theta, fit_conf):
-    rng = _replicate_stream(conf.seed, index)
-    w = draw_multipliers(conf.multiplier, s.size, rng)
-    try:
-        refit = fit_single(Dataset(s, mu + resid * w), spec, fit_conf)
-    except MMHetError:
-        return None
-    boot_theta = refit.params.as_array()
-    t = np.empty(2)
-    for j in range(2):
-        diff = boot_theta[j] - theta[j]
-        se = refit.se[j]
-        if se == 0.0 and diff == 0.0:
-            t[j] = 0.0  # degenerate 0/0 pivot guarded to zero
-        else:
-            t[j] = diff / se
-    if not np.all(np.isfinite(t)):
-        return None
+def _pivots(boot_theta: np.ndarray, boot_se: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Studentized pivots (theta* - theta) / se* row by row."""
+    diff = boot_theta - theta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = diff / boot_se
+    t[(boot_se == 0.0) & (diff == 0.0)] = 0.0  # degenerate 0/0 pivot guarded to zero
     return t
+
+
+def _refit_pivot(s, y, spec, theta, fit_conf) -> tuple[np.ndarray, str | None]:
+    """Pivot of one replicate through fit_single, and its failure reason."""
+    try:
+        refit = fit_single(Dataset(s, y), spec, fit_conf)
+    except MMHetError as err:
+        return np.full(2, np.nan), type(err).__name__
+    return _pivots(refit.params.as_array()[None, :], refit.se[None, :], theta)[0], None
+
+
+def replicate_pivots(
+    data: Dataset, fit: FitResult, conf: BootstrapConfig
+) -> tuple[np.ndarray, list[str | None]]:
+    """Pivots of replicates 1..B as a (B, 2) array over (vmax, km), and
+    each replicate's failure reason (None where it fit).
+
+    Replicates are refit together by fit_rows; the rows it leaves unsolved
+    go through fit_single one by one.
+    """
+    mu = mm_mean(data.s, fit.params)
+    resid = data.y - mu
+    theta = fit.params.as_array()
+    fit_conf = FitConfig(alpha=fit.alpha)
+    spec = fit.variance_spec
+    # y*_b = mu + resid * w_b, built in place over the multipliers
+    y = np.empty((conf.replicates, data.n))
+    for b in range(conf.replicates):
+        y[b] = draw_multipliers(conf.multiplier, data.n, _replicate_stream(conf.seed, b + 1))
+    y *= resid
+    y += mu
+    rows = fit_rows(data.s, y, spec)
+    pivots = _pivots(rows.theta, rows.se, theta)
+    failure = rows.failure
+    for i in np.flatnonzero(~rows.solved):
+        pivots[i], failure[i] = _refit_pivot(data.s, y[i], spec, theta, fit_conf)
+    failure[np.equal(failure, None) & ~np.isfinite(pivots).all(axis=1)] = NONFINITE_PIVOT
+    return pivots, failure.tolist()
 
 
 def wild_bootstrap_ci(
@@ -115,32 +145,11 @@ def wild_bootstrap_ci(
     conf = conf if conf is not None else BootstrapConfig()
     if not np.all(np.isfinite(fit.se)):
         raise ValueError("original fit must carry finite standard errors")
-    mu = mm_mean(data.s, fit.params)
-    resid = data.y - mu
     theta = fit.params.as_array()
-    fit_conf = FitConfig(alpha=fit.alpha)
-
-    indices = range(1, conf.replicates + 1)
-    if conf.threads > 1:
-        with ThreadPoolExecutor(max_workers=conf.threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda b: _one_replicate(
-                        b, conf, data.s, mu, resid, fit.variance_spec, theta, fit_conf
-                    ),
-                    indices,
-                )
-            )
-    else:
-        outcomes = [
-            _one_replicate(
-                b, conf, data.s, mu, resid, fit.variance_spec, theta, fit_conf
-            )
-            for b in indices
-        ]
-
-    pivots = np.array([t for t in outcomes if t is not None])
-    failures = conf.replicates - len(pivots)
+    pivots, reasons = replicate_pivots(data, fit, conf)
+    pivots = pivots[[r is None for r in reasons]]
+    failed = [r for r in reasons if r is not None]
+    failures = len(failed)
     failure_frac = failures / conf.replicates
     if failure_frac > MAX_FAILURE_FRAC:
         raise TooManyFailures(
@@ -164,4 +173,5 @@ def wild_bootstrap_ci(
         failures=int(failures),
         flagged=bool(failure_frac > FLAG_FAILURE_FRAC),
         level=conf.level,
+        failure_reasons=dict(sorted(Counter(failed).items())),
     )

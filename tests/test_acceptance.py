@@ -35,6 +35,7 @@ from mmhet.simbench import (
     run_clustered_benchmark,
     run_single_benchmark,
 )
+from mmhet import single
 from mmhet.wildboot import draw_multipliers
 
 from oracles import dense_solve, grid_profile_wsse, lm_weighted_fit
@@ -295,7 +296,7 @@ def test_acceptance_6_exactness():
 
 
 @pytest.mark.slow
-def test_acceptance_7_bootstrap_properties():
+def test_acceptance_7_bootstrap_properties(monkeypatch):
     failures = []
     # multiplier moments at 1e6 draws, 3-decimal agreement; deterministic
     # under the fixed stream, so sampling noise sits below the bar while a
@@ -309,18 +310,24 @@ def test_acceptance_7_bootstrap_properties():
         ):
             if abs(got - want) > 5e-4:
                 failures.append((kind, name, round(float(got), 5)))
-    # fixed seed, identical intervals across thread counts
+    # fixed seed, identical intervals across refit block sizes (99 and 129
+    # leave one-row tail blocks)
     sc = SingleScenario(master_seed=11)
     data = generate_single(sc, 0)
     fit = fit_single(data, CONSTANT)
-    one = wild_bootstrap_ci(data, fit, BootstrapConfig(replicates=199, seed=5))
-    three = wild_bootstrap_ci(
-        data, fit, BootstrapConfig(replicates=199, seed=5, threads=3)
-    )
-    if one.ci_vmax != three.ci_vmax or one.ci_km != three.ci_km:
-        failures.append(("thread determinism", one.ci_vmax, three.ci_vmax))
-    if not np.array_equal(one.t_quantiles, three.t_quantiles):
-        failures.append(("thread determinism", "t_quantiles differ"))
+    default = single.BLOCK_ROWS
+    for replicates in (99, 129, 199):
+        conf = BootstrapConfig(replicates=replicates, seed=5)
+        runs = []
+        for block in (1, 7, default):
+            monkeypatch.setattr(single, "BLOCK_ROWS", block)
+            runs.append(wild_bootstrap_ci(data, fit, conf))
+        monkeypatch.setattr(single, "BLOCK_ROWS", default)
+        for other in runs[1:]:
+            if other.ci_vmax != runs[0].ci_vmax or other.ci_km != runs[0].ci_km:
+                failures.append(("block determinism", replicates, other.ci_vmax))
+            if not np.array_equal(other.t_quantiles, runs[0].t_quantiles):
+                failures.append(("block determinism", replicates, "t_quantiles differ"))
     # nested Monte Carlo: percentile-t coverage of vmax at nominal 0.95
     t0 = time.perf_counter()
     hits = used = 0

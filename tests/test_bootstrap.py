@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from mmhet import (
     mm_mean,
     wild_bootstrap_ci,
 )
-from mmhet.exceptions import TooManyFailures
+from mmhet import single, wildboot
+from mmhet.exceptions import MMHetError, TooManyFailures
 from mmhet.wildboot import (
     MAMMEN_HIGH,
     MAMMEN_LOW,
+    NONFINITE_PIVOT,
     draw_multipliers,
+    replicate_pivots,
 )
 
 POW_HALF = VarianceSpec.power(0.5)
@@ -101,19 +106,21 @@ def test_noiseless_interval_degenerates(noiseless_data):
 # --- determinism ----------------------------------------------------------------
 
 
-def test_bootstrap_deterministic_across_threads(rng):
+def test_bootstrap_deterministic_across_block_sizes(rng, monkeypatch):
+    # 99 = 14 * 7 + 1 and 129 = 128 + 1 leave a one-row tail block.
     data, fit = _fit_and_data(rng)
-    runs = [
-        wild_bootstrap_ci(
-            data, fit, BootstrapConfig(replicates=199, seed=21, threads=t)
-        )
-        for t in (1, 3, 1)
-    ]
-    for other in runs[1:]:
-        assert np.array_equal(other.t_quantiles, runs[0].t_quantiles)
-        assert other.ci_vmax == runs[0].ci_vmax
-        assert other.ci_km == runs[0].ci_km
-        assert other.failures == runs[0].failures
+    default = single.BLOCK_ROWS
+    for replicates in (99, 129, 199):
+        conf = BootstrapConfig(replicates=replicates, seed=21)
+        runs = []
+        for block in (1, 7, default):
+            monkeypatch.setattr(single, "BLOCK_ROWS", block)
+            runs.append(wild_bootstrap_ci(data, fit, conf))
+        for other in runs[1:]:
+            assert np.array_equal(other.t_quantiles, runs[0].t_quantiles)
+            assert other.ci_vmax == runs[0].ci_vmax
+            assert other.ci_km == runs[0].ci_km
+            assert other.failures == runs[0].failures
 
 
 def test_mammen_interval_end_to_end(rng):
@@ -146,6 +153,64 @@ _Y_TOOMANY = np.array(
 )
 
 
+def _loop_pivots(data, fit, conf):
+    """Per-replicate fit_single refits on the same multiplier streams."""
+    mu = mm_mean(data.s, fit.params)
+    theta = fit.params.as_array()
+    pivots = np.full((conf.replicates, 2), np.nan)
+    reasons = []
+    for b in range(1, conf.replicates + 1):
+        w = draw_multipliers(
+            conf.multiplier, data.n, wildboot._replicate_stream(conf.seed, b)
+        )
+        try:
+            refit = fit_single(Dataset(data.s, mu + (data.y - mu) * w), fit.variance_spec)
+        except MMHetError as err:
+            reasons.append(type(err).__name__)
+            continue
+        diff = refit.params.as_array() - theta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where((refit.se == 0.0) & (diff == 0.0), 0.0, diff / refit.se)
+        if np.all(np.isfinite(t)):
+            pivots[b - 1] = t
+            reasons.append(None)
+        else:
+            reasons.append(NONFINITE_PIVOT)
+    return pivots, reasons
+
+
+def _bench_curve(n, seed):
+    rng = np.random.default_rng((seed, n))
+    vmax, km = rng.uniform(50.0, 150.0), rng.uniform(5.0, 50.0)
+    s = np.geomspace(km / 8.0, km * 25.0, n)
+    y = mm_mean(s, MMParams(vmax, km)) + 0.003 * vmax * np.sqrt(s) * rng.standard_normal(n)
+    return Dataset(s=s, y=y), POW_HALF
+
+
+@pytest.mark.parametrize("multiplier", ["rademacher", "mammen"])
+@pytest.mark.parametrize(
+    "case", ["n8", "n16", "n50", "n120", "flagged", "toomany"]
+)
+def test_batched_pivots_match_fit_single_loop(case, multiplier):
+    # The low-signal curves lose the profile bracket on many replicates,
+    # which sends those rows down the per-row fit_single fallback.
+    if case == "flagged":
+        data, spec = Dataset(s=_S8, y=_Y_FLAGGED), CONSTANT
+    elif case == "toomany":
+        data, spec = Dataset(s=_S8, y=_Y_TOOMANY), CONSTANT
+    else:
+        data, spec = _bench_curve(int(case[1:]), 5)
+    fit = fit_single(data, spec)
+    conf = BootstrapConfig(replicates=199, seed=2, multiplier=multiplier)
+    got, got_reasons = replicate_pivots(data, fit, conf)
+    want, want_reasons = _loop_pivots(data, fit, conf)
+    assert got_reasons == want_reasons
+    ok = np.array([r is None for r in want_reasons])
+    assert ok.any()
+    scale = np.maximum(np.maximum(np.abs(got[ok]), np.abs(want[ok])), 1.0)
+    assert np.max(np.abs(got[ok] - want[ok]) / scale) <= 1e-12
+
+
 def test_moderate_failures_set_flag():
     data = Dataset(s=_S8, y=_Y_FLAGGED)
     fit = fit_single(data, CONSTANT)
@@ -154,13 +219,22 @@ def test_moderate_failures_set_flag():
     assert 0.05 < res.failures / 199 <= 0.20
     assert res.replicates_used == 199 - res.failures
     assert np.all(np.isfinite(res.t_quantiles))
+    _, reasons = _loop_pivots(data, fit, BootstrapConfig(replicates=199, seed=1))
+    want = Counter(r for r in reasons if r is not None)
+    assert res.failure_reasons == dict(want)
+    assert sum(res.failure_reasons.values()) == res.failures
 
 
 def test_excessive_failures_raise():
     data = Dataset(s=_S8, y=_Y_TOOMANY)
     fit = fit_single(data, CONSTANT)
+    conf = BootstrapConfig(replicates=199, seed=1)
     with pytest.raises(TooManyFailures):
-        wild_bootstrap_ci(data, fit, BootstrapConfig(replicates=199, seed=1))
+        wild_bootstrap_ci(data, fit, conf)
+    _, got = replicate_pivots(data, fit, conf)
+    _, want = _loop_pivots(data, fit, conf)
+    assert Counter(got) == Counter(want)
+    assert sum(r is not None for r in got) > 0.20 * 199
 
 
 # --- config validation ----------------------------------------------------------
@@ -175,8 +249,6 @@ def test_bootstrap_config_validation():
         BootstrapConfig(level=1.0)
     with pytest.raises(ValueError):
         BootstrapConfig(seed=-1)
-    with pytest.raises(ValueError):
-        BootstrapConfig(threads=0)
 
 
 def test_bootstrap_rejects_fit_without_finite_se(rng):

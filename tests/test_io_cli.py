@@ -273,6 +273,7 @@ def test_cli_fit_with_bootstrap(tmp_path):
     block = json.loads(out.read_text())["fits"][0]
     bs = block["bootstrap"]
     assert bs["replicates_used"] + bs["failures"] == 149
+    assert sum(bs["failure_reasons"].values()) == bs["failures"]
     assert bs["ci_vmax"][0] < block["vmax"] < bs["ci_vmax"][1]
 
 

@@ -27,7 +27,8 @@ from mmhet.exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from oracles import grid_profile_wsse, lm_weighted_fit
+from mmhet.single import COND_LIMIT, sym2_inverse
+from oracles import cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
 
 POW_HALF = VarianceSpec.power(0.5)
 CONSTANT = VarianceSpec.constant()
@@ -182,6 +183,28 @@ def test_plugin_covariance_singular_design():
         plugin_covariance(data, MMParams(10.0, 5.0), 1.0, CONSTANT)
     with pytest.raises(ValueError):
         plugin_covariance(data, MMParams(10.0, 5.0), -1.0, CONSTANT)
+
+
+def test_sym2_inverse_matches_cofactor_oracle(rng):
+    a = rng.uniform(0.5, 5.0, 50)
+    d = rng.uniform(0.5, 5.0, 50)
+    b = rng.uniform(-0.9, 0.9, 50) * np.sqrt(a * d)
+    ia, ib, id_, ok = sym2_inverse(a, b, d)
+    assert ok.all()
+    for i in range(50):
+        want = cov_2x2_inverse(np.array([[a[i], b[i]], [b[i], d[i]]]))
+        got = np.array([[ia[i], ib[i]], [ib[i], id_[i]]])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_sym2_inverse_flags_singular_and_ill_conditioned():
+    # rank one, eigenvalue ratio just past and just inside the limit,
+    # indefinite, and non-finite entries
+    a = np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.nan])
+    b = np.array([1.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+    d = np.array([1.0, 1.0 / (2.0 * COND_LIMIT), 1.0 / (0.5 * COND_LIMIT), 1.0, 1.0, 1.0])
+    ok = sym2_inverse(a, b, d)[3]
+    assert ok.tolist() == [False, False, True, True, False, False]
 
 
 def test_information_criteria_closed_form(rng):
