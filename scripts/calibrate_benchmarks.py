@@ -36,11 +36,9 @@ from mmhet.simbench import (  # noqa: E402
 )
 
 
-def check_single(seed: int, replications: int, threads: int):
+def check_single(seed: int, replications: int):
     """Margins for every reference-table check; negative margin = failure."""
-    cfg = SingleBenchmarkConfig.default(
-        replications=replications, master_seed=seed, threads=threads
-    )
+    cfg = SingleBenchmarkConfig.default(replications=replications, master_seed=seed)
     report = run_single_benchmark(cfg)
     nls_rmse = {
         r.scenario: (r.rmse_vmax, r.rmse_km, r.var_mse)
@@ -76,11 +74,9 @@ def check_single(seed: int, replications: int, threads: int):
     return margins
 
 
-def check_clustered(seed: int, replications: int, threads: int):
+def check_clustered(seed: int, replications: int):
     """Margins for the pooled-versus-clustered ordering and coverage bands."""
-    cfg = ClusterBenchmarkConfig.default(
-        replications=replications, master_seed=seed, threads=threads
-    )
+    cfg = ClusterBenchmarkConfig.default(replications=replications, master_seed=seed)
     report = run_clustered_benchmark(cfg)
     rows = {(r.scenario, r.method): r for r in report.rows}
     margins = []
@@ -106,14 +102,13 @@ def main() -> None:
     ap.add_argument("--suite", choices=("single", "clustered"), default="single")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--replications", type=int, default=1000)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--show", type=int, default=5, help="tightest margins to print")
     ns = ap.parse_args()
 
     checker = check_single if ns.suite == "single" else check_clustered
     for seed in ns.seeds:
         t0 = time.perf_counter()
-        margins = checker(seed, ns.replications, ns.threads)
+        margins = checker(seed, ns.replications)
         elapsed = time.perf_counter() - t0
         margins.sort()
         fails = [m for m in margins if m[0] < 0]

@@ -3,14 +3,12 @@
 Subcommands: fit, screen, group, cluster, simulate, benchmark.  Exit codes:
 0 success, 2 usage error, 3 data error, 4 nonconvergence (a report is still
 written when one exists).  Reports go to --out or stdout; errors go to
-stderr.  Thread counts come from --threads, falling back to the
-MM_INFER_THREADS environment variable, then 1.
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -49,13 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NONCONVERGED = 4
-
-THREADS_ENV = "MM_INFER_THREADS"
-
-
-class _UsageError(Exception):
-    """Bad invocation discovered after argparse (e.g. malformed env var)."""
-
 
 def _candidate_list(text: str) -> tuple[VarianceSpec, ...]:
     specs = tuple(VarianceSpec.parse(tok) for tok in text.split(",") if tok.strip())
@@ -130,26 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p_bench.add_argument("--out", required=True,
                          help="output stem; writes <stem>.csv and <stem>.json")
-    p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--timing", action="store_true",
                          help="include wall-clock columns (breaks byte determinism)")
     p_bench.set_defaults(func=_cmd_benchmark)
 
     return parser
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(
-                f"environment variable {THREADS_ENV}={env!r} is not an integer"
-            ) from None
-    return 1
 
 
 def _ingest(ns) -> InputTable:
@@ -267,15 +243,14 @@ def _cmd_simulate(ns) -> int:
 
 
 def _cmd_benchmark(ns) -> int:
-    threads = _resolve_threads(ns.threads)
     if ns.suite == "single":
         config = SingleBenchmarkConfig.default(
-            replications=ns.replications, master_seed=ns.seed, threads=threads
+            replications=ns.replications, master_seed=ns.seed
         )
         report = run_single_benchmark(config)
     else:
         config = ClusterBenchmarkConfig.default(
-            replications=ns.replications, master_seed=ns.seed, threads=threads
+            replications=ns.replications, master_seed=ns.seed
         )
         report = run_clustered_benchmark(config)
     config_echo = {"suite": ns.suite, "replications": ns.replications, "seed": ns.seed}
@@ -298,9 +273,6 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except _UsageError as err:
-        print(f"mmhet: usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (IngestError, FileNotFoundError, IsADirectoryError, PermissionError) as err:
         print(f"mmhet: data error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -40,7 +40,7 @@ from .exceptions import (
     SingularInformation,
 )
 from .rootfind import SolverDiagnostics, k_bracket, solve_scalar
-from .single import COND_LIMIT, FitConfig, fit_single
+from .single import COND_LIMIT, FitConfig, fit_single, sym2_inverse
 
 # Relative floor for the moment-matched gamma, scaled by the pooled
 # response variance.
@@ -233,12 +233,14 @@ def cluster_covariance(
     for cluster in data.clusters:
         z, d, h = cluster_design(cluster, params, spec)
         info += d.T @ solve_working_cov(z, h, tau2, gamma, d)
-    if not np.all(np.isfinite(info)) or np.linalg.cond(info) > COND_LIMIT:
+    i11, i12, i22, ok = sym2_inverse(
+        info[0, 0], 0.5 * (info[0, 1] + info[1, 0]), info[1, 1]
+    )
+    if not (np.all(np.isfinite(info)) and ok):
         raise SingularInformation(
             f"clustered information condition exceeds {COND_LIMIT:g}"
         )
-    cov = np.linalg.inv(info)
-    return (cov + cov.T) / 2.0
+    return np.array([[i11, i12], [i12, i22]])
 
 
 def _neg2_working_loglik(

@@ -11,14 +11,17 @@ per level, a normal random shift on vmax per cluster, and sqrt(s)-shaped
 within-cluster noise.  Pooled fits ignore the clustering on purpose.
 
 Replicate r of a scenario draws from a stream keyed by (master_seed,
-stream tag, r), so reports are identical at any thread count; the final
-reduction runs in replicate order.
+stream tag, r).  Every replicate of a scenario shares one design, so each
+(scenario, method) cell stacks its replicates' responses and fits them
+together through single.fit_rows; rows it leaves unsolved go through
+fit_single one by one.  The clustered fit runs replicate by replicate.
+Each row's arithmetic is independent of the rows beside it, so reports
+are identical whatever fit_rows' block size.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -33,9 +36,10 @@ from .core import (
     VarianceSpec,
     eval_h,
     mm_mean,
+    wald_z,
 )
 from .exceptions import InsufficientSuccesses, MMHetError
-from .single import FitConfig, fit_single
+from .single import FitConfig, fit_rows, fit_single
 
 SINGLE_STREAM = 1
 CLUSTER_STREAM = 2
@@ -172,7 +176,7 @@ class MetricsRow:
     secr_vmax: float
     secr_km: float
     var_mse: float
-    mean_runtime_s: float
+    mean_runtime_s: float  # the cell's wall time over R (its replicates are fit together)
     successes: int
     replications: int
     var_rmse: float | None = None
@@ -291,7 +295,6 @@ class SingleBenchmarkConfig:
     scenarios: tuple[SingleScenario, ...] = ()
     methods: tuple[VarianceSpec, ...] = DEFAULT_CANDIDATES
     alpha: float = 0.05
-    threads: int = 1
 
     @classmethod
     def default(
@@ -299,7 +302,6 @@ class SingleBenchmarkConfig:
         replications: int = 1000,
         master_seed: int = DEFAULT_MASTER_SEED,
         n: int = 50,
-        threads: int = 1,
     ) -> "SingleBenchmarkConfig":
         scenarios = tuple(
             SingleScenario(
@@ -307,60 +309,72 @@ class SingleBenchmarkConfig:
             )
             for shape in VarianceShape
         )
-        return cls(scenarios=scenarios, threads=threads)
+        return cls(scenarios=scenarios)
 
 
-_FAILED_SINGLE = (False,) + (np.nan,) * 10
+@dataclass(frozen=True, eq=False)
+class _CellFits:
+    """Replicate-wise outcome of one (scenario, method) cell.
+
+    A replicate is ok when its fit raised no MMHetError, converged (for the
+    clustered fit) and has finite standard errors; the arrays hold NaN where
+    it is not.
+    """
+
+    ok: np.ndarray  # (R,) bool
+    theta: np.ndarray  # (R, 2): vmax, km
+    se: np.ndarray  # (R, 2)
+    gamma: np.ndarray  # (R,)
+    wall_s: float  # wall time of the whole cell
+    tau2: np.ndarray | None = None  # (R,), clustered fits only
 
 
-def _fit_record(data: Dataset, spec: VarianceSpec, alpha: float) -> tuple:
-    """(ok, vmax, km, se_v, se_k, lo_v, hi_v, lo_k, hi_k, gamma, runtime)."""
+def _fit_cell(s: np.ndarray, y: np.ndarray, spec: VarianceSpec, alpha: float) -> _CellFits:
+    """fit_single for every row of y (R, n) on the shared design s."""
     start = time.perf_counter()
-    try:
-        fit = fit_single(data, spec, FitConfig(alpha=alpha))
-    except MMHetError:
-        return _FAILED_SINGLE[:-1] + (time.perf_counter() - start,)
-    elapsed = time.perf_counter() - start
-    if not np.all(np.isfinite(fit.se)):
-        return _FAILED_SINGLE[:-1] + (elapsed,)
-    return (
-        True,
-        fit.params.vmax,
-        fit.params.km,
-        float(fit.se[0]),
-        float(fit.se[1]),
-        fit.ci_vmax[0],
-        fit.ci_vmax[1],
-        fit.ci_km[0],
-        fit.ci_km[1],
-        fit.gamma,
-        elapsed,
+    rows = fit_rows(s, y, spec)
+    theta, se, gamma = rows.theta, rows.se, rows.gamma
+    conf = FitConfig(alpha=alpha)
+    for i in np.flatnonzero(~rows.solved):
+        try:
+            fit = fit_single(Dataset(s, y[i]), spec, conf)
+        except MMHetError:
+            continue
+        theta[i], se[i], gamma[i] = fit.params.as_array(), fit.se, fit.gamma
+    ok = np.isfinite(se).all(axis=1)
+    return _CellFits(ok, theta, se, gamma, time.perf_counter() - start)
+
+
+def _fitted_surface(cell: _CellFits, spec: VarianceSpec, s: np.ndarray) -> np.ndarray:
+    """Fitted working variance gamma * h(s) for each ok replicate, (R_ok, n)."""
+    return np.outer(cell.gamma[cell.ok], eval_h(spec, s))
+
+
+def _cell_metrics(
+    scenario: SingleScenario | ClusterScenario,
+    method: str,
+    cell: _CellFits,
+    fitted: np.ndarray,
+    v_true: np.ndarray,
+    alpha: float,
+) -> MetricsRow:
+    """compute_metrics over the ok replicates, with Wald intervals theta +- z se."""
+    theta, se = cell.theta[cell.ok], cell.se[cell.ok]
+    half = wald_z(alpha) * se
+    replications = cell.ok.size
+    return compute_metrics(
+        scenario.label,
+        method,
+        theta,
+        np.stack([theta - half, theta + half], axis=2),  # (R_ok, param, lo/hi)
+        se,
+        fitted,
+        scenario.truth,
+        v_true,
+        np.array([cell.wall_s / replications]),
+        alpha=alpha,
+        replications=replications,
     )
-
-
-def _single_chunk(args) -> tuple[int, list[list[tuple]]]:
-    scenario, methods, alpha, r0, r1 = args
-    out = []
-    for r in range(r0, r1):
-        data = generate_single(scenario, r)  # common random numbers per replicate
-        out.append([_fit_record(data, spec, alpha) for spec in methods])
-    return r0, out
-
-
-def _run_chunked(worker, payloads, threads: int):
-    """Run chunk payloads serially or on a process pool; order-stable."""
-    if threads <= 1:
-        results = [worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, payloads))
-    results.sort(key=lambda item: item[0])
-    return [rec for _, chunk in results for rec in chunk]
-
-
-def _chunk_ranges(total: int, threads: int):
-    chunk = max(1, -(-total // max(1, threads * 4)))
-    return [(r0, min(r0 + chunk, total)) for r0 in range(0, total, chunk)]
 
 
 def run_single_benchmark(config: SingleBenchmarkConfig | None = None) -> BenchmarkReport:
@@ -370,40 +384,15 @@ def run_single_benchmark(config: SingleBenchmarkConfig | None = None) -> Benchma
         config = replace(config, scenarios=SingleBenchmarkConfig.default().scenarios)
     rows: list[MetricsRow] = []
     for scenario in config.scenarios:
-        R = scenario.replications
-        payloads = [
-            (scenario, config.methods, config.alpha, r0, r1)
-            for r0, r1 in _chunk_ranges(R, config.threads)
-        ]
-        records = _run_chunked(_single_chunk, payloads, config.threads)
         grid = scenario.grid()
+        # common random numbers: every method fits the same replicates
+        y = np.array([generate_single(scenario, r).y for r in range(scenario.replications)])
         v_true = true_variance(scenario.shape, grid)
-        for j, spec in enumerate(config.methods):
-            cell = np.array([rec[j][1:] for rec in records], dtype=np.float64)
-            ok = np.array([rec[j][0] for rec in records], dtype=bool)
-            good = cell[ok]
-            estimates = good[:, 0:2]
-            ses = good[:, 2:4]
-            intervals = np.stack(
-                [good[:, 4:6], good[:, 6:8]], axis=1
-            )  # (R_ok, param, lo/hi)
-            gammas = good[:, 8]
-            runtimes = good[:, 9]
-            fitted = np.outer(gammas, eval_h(spec, grid))
+        for spec in config.methods:
+            cell = _fit_cell(grid, y, spec, config.alpha)
+            fitted = _fitted_surface(cell, spec, grid)
             rows.append(
-                compute_metrics(
-                    scenario.label,
-                    spec.label(),
-                    estimates,
-                    intervals,
-                    ses,
-                    fitted,
-                    scenario.truth,
-                    v_true,
-                    runtimes,
-                    alpha=config.alpha,
-                    replications=R,
-                )
+                _cell_metrics(scenario, spec.label(), cell, fitted, v_true, config.alpha)
             )
     meta = {
         "scenarios": [
@@ -430,7 +419,6 @@ class ClusterBenchmarkConfig:
     )
     clustered_spec: VarianceSpec = VarianceSpec.power(0.5)
     alpha: float = 0.05
-    threads: int = 1
 
     @classmethod
     def default(
@@ -440,7 +428,6 @@ class ClusterBenchmarkConfig:
         cluster_sizes: tuple[int, ...] = (3, 6),
         tau: float = 40.0,
         gamma_true: float = 25.0,
-        threads: int = 1,
     ) -> "ClusterBenchmarkConfig":
         scenarios = tuple(
             ClusterScenario(
@@ -452,47 +439,30 @@ class ClusterBenchmarkConfig:
             )
             for m in cluster_sizes
         )
-        return cls(scenarios=scenarios, threads=threads)
+        return cls(scenarios=scenarios)
 
 
-def _cluster_record(data: ClusteredDataset, spec: VarianceSpec, alpha: float) -> tuple:
-    """(ok, vmax, km, se_v, se_k, lo_v, hi_v, lo_k, hi_k, gamma, tau2, runtime)."""
+def _clustered_cell(
+    panels: list[ClusteredDataset], spec: VarianceSpec, alpha: float
+) -> _CellFits:
+    """fit_clustered on each replicate panel in turn."""
     start = time.perf_counter()
-    try:
-        fit = fit_clustered(data, spec, FitConfig(alpha=alpha))
-    except MMHetError:
-        return (False,) + (np.nan,) * 10 + (time.perf_counter() - start,)
-    elapsed = time.perf_counter() - start
-    if not (fit.converged and np.all(np.isfinite(fit.se))):
-        return (False,) + (np.nan,) * 10 + (elapsed,)
-    return (
-        True,
-        fit.params.vmax,
-        fit.params.km,
-        float(fit.se[0]),
-        float(fit.se[1]),
-        fit.ci_vmax[0],
-        fit.ci_vmax[1],
-        fit.ci_km[0],
-        fit.ci_km[1],
-        fit.gamma,
-        fit.tau2,
-        elapsed,
-    )
-
-
-def _clustered_chunk(args) -> tuple[int, list[dict]]:
-    scenario, pooled_specs, clustered_spec, alpha, r0, r1 = args
-    out = []
-    for r in range(r0, r1):
-        data = generate_clustered(scenario, r)
-        pooled = data.pooled()
-        rec = {
-            "pooled": [_fit_record(pooled, spec, alpha) for spec in pooled_specs],
-            "clustered": _cluster_record(data, clustered_spec, alpha),
-        }
-        out.append(rec)
-    return r0, out
+    R = len(panels)
+    theta = np.full((R, 2), np.nan)
+    se = np.full((R, 2), np.nan)
+    gamma = np.full(R, np.nan)
+    tau2 = np.full(R, np.nan)
+    conf = FitConfig(alpha=alpha)
+    for r, data in enumerate(panels):
+        try:
+            fit = fit_clustered(data, spec, conf)
+        except MMHetError:
+            continue
+        if fit.converged:
+            theta[r], se[r] = fit.params.as_array(), fit.se
+            gamma[r], tau2[r] = fit.gamma, fit.tau2
+    ok = np.isfinite(se).all(axis=1)
+    return _CellFits(ok, theta, se, gamma, time.perf_counter() - start, tau2)
 
 
 def run_clustered_benchmark(
@@ -509,56 +479,28 @@ def run_clustered_benchmark(
         config = replace(config, scenarios=ClusterBenchmarkConfig.default().scenarios)
     rows: list[MetricsRow] = []
     for scenario in config.scenarios:
-        R = scenario.replications
-        payloads = [
-            (scenario, config.pooled_specs, config.clustered_spec, config.alpha, r0, r1)
-            for r0, r1 in _chunk_ranges(R, config.threads)
-        ]
-        records = _run_chunked(_clustered_chunk, payloads, config.threads)
+        panels = [generate_clustered(scenario, r) for r in range(scenario.replications)]
         s_design = scenario.cluster_s()
         v_true = scenario.marginal_variance(s_design)
+        # every pooled replicate stacks the m clusters' shared design
+        s_pooled = np.tile(s_design, scenario.m)
+        y_pooled = np.array([data.pooled().y for data in panels])
 
-        for j, spec in enumerate(config.pooled_specs):
-            cell = np.array([rec["pooled"][j][1:] for rec in records], dtype=np.float64)
-            ok = np.array([rec["pooled"][j][0] for rec in records], dtype=bool)
-            good = cell[ok]
-            fitted = np.outer(good[:, 8], eval_h(spec, s_design))
-            row = compute_metrics(
-                scenario.label,
-                f"pooled-{spec.label()}",
-                good[:, 0:2],
-                np.stack([good[:, 4:6], good[:, 6:8]], axis=1),
-                good[:, 2:4],
-                fitted,
-                scenario.truth,
-                v_true,
-                good[:, 9],
-                alpha=config.alpha,
-                replications=R,
+        for spec in config.pooled_specs:
+            cell = _fit_cell(s_pooled, y_pooled, spec, config.alpha)
+            fitted = _fitted_surface(cell, spec, s_design)
+            row = _cell_metrics(
+                scenario, f"pooled-{spec.label()}", cell, fitted, v_true, config.alpha
             )
             rows.append(replace(row, var_rmse=_surface_rmse(fitted, v_true)))
 
-        cell = np.array([rec["clustered"][1:] for rec in records], dtype=np.float64)
-        ok = np.array([rec["clustered"][0] for rec in records], dtype=bool)
-        good = cell[ok]
-        gammas, tau2s = good[:, 8], good[:, 9]
-        kms = good[:, 1]
-        zhat = s_design[None, :] / (kms[:, None] + s_design[None, :])
-        fitted = tau2s[:, None] * zhat * zhat + np.outer(
-            gammas, eval_h(config.clustered_spec, s_design)
-        )
-        row = compute_metrics(
-            scenario.label,
-            f"clustered-{config.clustered_spec.label()}",
-            good[:, 0:2],
-            np.stack([good[:, 4:6], good[:, 6:8]], axis=1),
-            good[:, 2:4],
-            fitted,
-            scenario.truth,
-            v_true,
-            good[:, 10],
-            alpha=config.alpha,
-            replications=R,
+        spec = config.clustered_spec
+        cell = _clustered_cell(panels, spec, config.alpha)
+        tau2s = cell.tau2[cell.ok]
+        zhat = s_design[None, :] / (cell.theta[cell.ok, 1][:, None] + s_design[None, :])
+        fitted = tau2s[:, None] * zhat * zhat + _fitted_surface(cell, spec, s_design)
+        row = _cell_metrics(
+            scenario, f"clustered-{spec.label()}", cell, fitted, v_true, config.alpha
         )
         tau2_rmse = float(np.sqrt(np.mean((tau2s - scenario.tau**2) ** 2)))
         rows.append(

@@ -18,8 +18,9 @@ mean equations coincide with Gaussian weighted nonlinear least squares
 with weights 1/h_i, which is what the test-suite oracles exploit.
 
 ``fit_rows`` runs the same fit for many response vectors over one design
-(the wild bootstrap's refits): one grid evaluation for all of them, a
-lockstep root refinement, and closed-form plug-ins per row.
+(the wild bootstrap's refits, the Monte Carlo suites' replicates): one grid
+evaluation for all of them, a lockstep root refinement, and closed-form
+plug-ins per row.
 """
 
 from __future__ import annotations
@@ -286,6 +287,7 @@ class RowFits:
 
     theta: np.ndarray  # (rows, 2): vmax, km; NaN where the row did not fit
     se: np.ndarray  # (rows, 2) plug-in standard errors
+    gamma: np.ndarray  # (rows,) dispersion estimates
     solved: np.ndarray  # False where the row is left to fit_single
     failure: np.ndarray  # exception-class name fit_single raises, else None
 
@@ -302,13 +304,14 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
     rows = y.shape[0]
     theta = np.full((rows, 2), np.nan)
     se = np.full((rows, 2), np.nan)
+    gamma = np.full(rows, np.nan)
     solved = np.ones(rows, dtype=bool)
     failure = np.full(rows, None, dtype=object)
     try:
         _require_identifiable(s)
     except DegenerateDesign as err:
         failure[:] = type(err).__name__
-        return RowFits(theta, se, solved, failure)
+        return RowFits(theta, se, gamma, solved, failure)
     h = eval_h(spec, s)
     ks = log_grid(*k_bracket(s))
     d = ks[:, None] + s
@@ -324,14 +327,16 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
         # share its block.
         values = np.einsum("rn,kn->rk", yb, w) * s3 - np.einsum("rn,kn->rk", yb, wd) * s4
         km = solve_rows(values, ks, lambda x, idx: _profile_terms(x, s, yb[idx], h)[0])
-        theta[part], se[part], solved[part], failure[part] = _plugin_rows(s, h, yb, km)
-    return RowFits(theta, se, solved, failure)
+        fits = _plugin_rows(s, h, yb, km)
+        theta[part], se[part], gamma[part], solved[part], failure[part] = fits
+    return RowFits(theta, se, gamma, solved, failure)
 
 
 def _plugin_rows(s, h, y, km):
     """fit_single's steps after the root for row-wise km (NaN: unsolved)."""
     theta = np.full((km.size, 2), np.nan)
     se = np.full((km.size, 2), np.nan)
+    gamma_out = np.full(km.size, np.nan)
     failure = np.full(km.size, None, dtype=object)
     solved = np.isfinite(km)
     idx = np.flatnonzero(solved)
@@ -350,7 +355,8 @@ def _plugin_rows(s, h, y, km):
     failure[idx[singular]] = SingularInformation.__name__
     theta[idx[good]] = np.column_stack([vmax, km])[good]
     se[idx[good]] = np.sqrt(np.maximum(np.column_stack([c11, c22]), 0.0))[good]
-    return theta, se, solved, failure
+    gamma_out[idx[good]] = gamma[good]
+    return theta, se, gamma_out, solved, failure
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,7 +67,7 @@ def _verdict(idx, name, failures):
 
 @pytest.fixture(scope="module")
 def single_run():
-    cfg = SingleBenchmarkConfig.default(replications=1000, threads=1)
+    cfg = SingleBenchmarkConfig.default(replications=1000)
     t0 = time.perf_counter()
     report = run_single_benchmark(cfg)
     return report, time.perf_counter() - t0
@@ -75,7 +75,7 @@ def single_run():
 
 @pytest.fixture(scope="module")
 def clustered_run():
-    cfg = ClusterBenchmarkConfig.default(replications=1000, threads=1)
+    cfg = ClusterBenchmarkConfig.default(replications=1000)
     t0 = time.perf_counter()
     report = run_clustered_benchmark(cfg)
     return report, time.perf_counter() - t0

@@ -452,65 +452,6 @@ def test_cli_benchmark_default_seed_is_master_seed(tmp_path):
         )
 
 
-def test_cli_benchmark_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MM_INFER_THREADS", "not-a-number")
-    code = cli_dispatch(
-        [
-            "benchmark",
-            "--suite",
-            "single",
-            "--replications",
-            "2",
-            "--seed",
-            "1",
-            "--out",
-            str(tmp_path / "x"),
-        ]
-    )
-    assert code == EXIT_USAGE
-
-    monkeypatch.setenv("MM_INFER_THREADS", "2")
-    stem_env = tmp_path / "env"
-    assert (
-        cli_dispatch(
-            [
-                "benchmark",
-                "--suite",
-                "single",
-                "--replications",
-                "6",
-                "--seed",
-                "3",
-                "--out",
-                str(stem_env),
-            ]
-        )
-        == EXIT_OK
-    )
-    monkeypatch.delenv("MM_INFER_THREADS")
-    stem_serial = tmp_path / "serial"
-    assert (
-        cli_dispatch(
-            [
-                "benchmark",
-                "--suite",
-                "single",
-                "--replications",
-                "6",
-                "--seed",
-                "3",
-                "--out",
-                str(stem_serial),
-            ]
-        )
-        == EXIT_OK
-    )
-    assert (
-        stem_env.with_suffix(".json").read_bytes()
-        == stem_serial.with_suffix(".json").read_bytes()
-    )
-
-
 def test_cli_screen_recovers_generative_shape(tmp_path):
     # sqrt(s)-shaped noise should put pow:0.5 at rank 1 in at least 90 of
     # 100 seeded runs of the full ingest -> screen -> report pipeline.
