@@ -3,9 +3,11 @@
 Both the single-curve profile equation and the clustered GLS score reduce to
 one scalar equation in the half-saturation constant.  The search strategy is
 shared: evaluate on a geometric grid, bracket the first sign change scanning
-upward from the left endpoint, and refine with a derivative-free root solve.
-If no sign change exists, fall back to golden-section minimization of the
-squared equation on the log scale.
+upward from the left endpoint, and refine it with Brent's method (``_brent``,
+a step-for-step port of the classic inverse-interpolation/bisection hybrid;
+Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4).  If
+no sign change exists, fall back to golden-section minimization of the
+squared equation on the log scale.  numpy is the only dependency.
 
 ``solve_rows`` applies the same bracket policy to many equations that share
 a bracket at once (the wild bootstrap's refits over one design), refining
@@ -16,10 +18,10 @@ bracket are left to ``solve_scalar``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import NoFiniteEvaluation
 
@@ -35,9 +37,12 @@ GOLDEN_TOL_REL = 1e-10
 _GOLDEN_MAX_ITER = 300
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Lockstep refinement stops once a bracket is this wide relative to its
-# upper end, the relative tolerance solve_scalar hands to brentq.
-_REFINE_RTOL = 4.0 * np.finfo(np.float64).eps
+# Bracket refinement (Brent in solve_scalar, lockstep Illinois in
+# solve_rows) stops at a width of about this much relative to the root,
+# or after _REFINE_MAX_ITER steps.  Brent also has an absolute tolerance,
+# set so small that only the relative one ever binds.
+_REFINE_RTOL = 4.0 * float(np.finfo(np.float64).eps)
+_REFINE_XTOL = 1e-240
 _REFINE_MAX_ITER = 200
 
 
@@ -95,67 +100,92 @@ def solve_scalar(
 
     idx = np.flatnonzero(finite)
     vals = values[idx]
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    diagnostics = partial(
+        SolverDiagnostics, bracket=(k_lo, k_hi), sign_changes=int(flips.size)
+    )
 
     # An exact zero on the grid is already a root.
     zeros = np.flatnonzero(vals == 0.0)
     if zeros.size:
         k = float(ks[idx[zeros[0]]])
-        diag = SolverDiagnostics(
-            bracket=(k_lo, k_hi),
-            used_root=True,
-            iterations=0,
-            f_at_solution=0.0,
-            converged=True,
-            sign_changes=_count_sign_changes(vals),
+        return k, diagnostics(
+            used_root=True, iterations=0, f_at_solution=0.0, converged=True
         )
-        return k, diag
 
-    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    n_flips = int(flips.size)
-
-    if n_flips:
+    if flips.size:
         # First bracket scanning upward from k_lo (multi-root policy).
         a = float(ks[idx[flips[0]]])
         b = float(ks[idx[flips[0] + 1]])
-        root, res = brentq(
-            lambda k: eval_one(k)[0],
-            a,
-            b,
-            xtol=1e-240,
-            rtol=4.0 * np.finfo(np.float64).eps,
-            maxiter=200,
-            full_output=True,
-        )
-        f_root, scale = eval_one(float(root))
-        tol_f = TOL_F_REL * scale
-        converged = bool(abs(f_root) <= tol_f or res.converged)
-        diag = SolverDiagnostics(
-            bracket=(k_lo, k_hi),
-            used_root=True,
-            iterations=int(res.iterations),
-            f_at_solution=float(f_root),
+        root, iterations, brent_converged = _brent(lambda k: eval_one(k)[0], a, b)
+        f_root, scale = eval_one(root)
+        converged = abs(f_root) <= TOL_F_REL * scale or brent_converged
+        return root, diagnostics(
+            used_root=True, iterations=iterations, f_at_solution=f_root,
             converged=converged,
-            sign_changes=n_flips,
         )
-        return float(root), diag
 
     # No sign change anywhere: golden-section minimization of F^2 in log k.
     k, iterations = _golden_min_sq(eval_one, k_lo, k_hi, GOLDEN_TOL_REL)
     f_at, scale = eval_one(k)
     converged = bool(np.isfinite(f_at) and abs(f_at) <= TOL_F_REL * scale)
-    diag = SolverDiagnostics(
-        bracket=(k_lo, k_hi),
-        used_root=False,
-        iterations=iterations,
-        f_at_solution=float(f_at),
-        converged=converged,
-        sign_changes=0,
+    return k, diagnostics(
+        used_root=False, iterations=iterations, f_at_solution=f_at, converged=converged
     )
-    return k, diag
 
 
-def _count_sign_changes(vals: np.ndarray) -> int:
-    return int(np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0).size)
+def _brent(f: Callable[[float], float], a: float, b: float) -> tuple[float, int, bool]:
+    """Root of f on [a, b], f(a) f(b) < 0, by Brent's method.
+
+    Returns (root, iterations, converged).  Each step takes an inverse
+    quadratic or secant step if it is short enough, else bisects, and moves
+    at least half the tolerance _REFINE_XTOL + _REFINE_RTOL |x|.  Steps,
+    tests and arithmetic are those of the classic C ``brentq``, so roots and
+    iteration counts match it bit for bit; tests/test_rootfind.py checks.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre, 0, True
+    if fcur == 0.0:
+        return xcur, 0, True
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, _REFINE_MAX_ITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_REFINE_XTOL + _REFINE_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations, True
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur, _REFINE_MAX_ITER, False
 
 
 def _golden_min_sq(

@@ -22,7 +22,7 @@ are identical whatever fit_rows' block size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -183,28 +183,9 @@ class MetricsRow:
     tau2_rmse: float | None = None
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "method": self.method,
-            "bias_vmax": self.bias_vmax,
-            "bias_km": self.bias_km,
-            "rmse_vmax": self.rmse_vmax,
-            "rmse_km": self.rmse_km,
-            "cp_vmax": self.cp_vmax,
-            "cp_km": self.cp_km,
-            "mil_vmax": self.mil_vmax,
-            "mil_km": self.mil_km,
-            "interval_score_vmax": self.interval_score_vmax,
-            "interval_score_km": self.interval_score_km,
-            "secr_vmax": self.secr_vmax,
-            "secr_km": self.secr_km,
-            "var_mse": self.var_mse,
-            "var_rmse": self.var_rmse,
-            "tau2_rmse": self.tau2_rmse,
-            "mean_runtime_s": self.mean_runtime_s if include_timing else None,
-            "successes": self.successes,
-            "replications": self.replications,
-        }
+        out = asdict(self)
+        if not include_timing:
+            out["mean_runtime_s"] = None
         return out
 
 

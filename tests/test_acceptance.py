@@ -18,15 +18,14 @@ from mmhet import (
     Dataset,
     MMParams,
     VarianceSpec,
-    eval_h,
     fit_clustered,
     fit_single,
     group_fit,
-    mm_gradient,
     mm_mean,
-    solve_working_cov,
     wild_bootstrap_ci,
 )
+from mmhet.cluster import solve_working_cov
+from mmhet.core import eval_h, mm_gradient
 from mmhet.simbench import (
     ClusterBenchmarkConfig,
     SingleBenchmarkConfig,

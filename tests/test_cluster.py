@@ -6,17 +6,19 @@ from mmhet import (
     Dataset,
     MMParams,
     VarianceSpec,
-    cluster_covariance,
-    eval_h,
     fit_clustered,
     fit_single,
     mm_mean,
+)
+from mmhet.cluster import (
+    GAMMA_FLOOR_REL,
+    cluster_covariance,
     moment_update_variance,
-    plugin_covariance,
     solve_working_cov,
 )
-from mmhet.cluster import GAMMA_FLOOR_REL
+from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
+from mmhet.single import plugin_covariance
 from oracles import dense_solve, gls_quadratic
 
 POW_HALF = VarianceSpec.power(0.5)

@@ -8,12 +8,9 @@ from mmhet import (
     Dataset,
     MMParams,
     VarianceSpec,
-    eval_h,
-    mm_gradient,
     mm_mean,
-    residuals,
 )
-from mmhet.core import H_FLOOR
+from mmhet.core import H_FLOOR, eval_h, mm_gradient, residuals
 
 positive = st.floats(min_value=0.1, max_value=1e4)
 

@@ -1,16 +1,19 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmhet
 from mmhet import (
     MMParams,
     ReportDocument,
     SingleScenario,
     emit_report,
-    fit_block,
     fit_single,
     generate_single,
     ingest_csv,
@@ -21,7 +24,7 @@ from mmhet import (
 from mmhet.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, cli_dispatch
 from mmhet.dataio import IngestOptions
 from mmhet.exceptions import EmptyAfterFiltering, MissingColumn, ParseError
-from mmhet.report import FIT_CSV_COLUMNS, METRIC_CSV_COLUMNS, screen_blocks
+from mmhet.report import FIT_CSV_COLUMNS, METRIC_CSV_COLUMNS, fit_block, screen_blocks
 from mmhet.simbench import DEFAULT_MASTER_SEED
 
 TRUTH = MMParams(100.0, 20.0)
@@ -488,3 +491,15 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout.decode("utf-8"))
     assert doc["fits"][0]["vmax"] == pytest.approx(100.0, abs=1e-6)
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency.
+    env = {**os.environ, "PYTHONPATH": str(Path(mmhet.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mmhet, sys; assert 'scipy' not in sys.modules"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8")

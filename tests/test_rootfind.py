@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from mmhet import ClusterScenario, MMParams, SingleScenario, VarianceSpec, fit_single
+from mmhet import generate_clustered, generate_single, rootfind
+from mmhet.cluster import GAMMA_FLOOR_REL, gls_km_profile, moment_update_variance
+from mmhet.core import DEFAULT_CANDIDATES
 from mmhet.exceptions import NoFiniteEvaluation
-from mmhet.rootfind import k_bracket, log_grid, solve_rows, solve_scalar
+from mmhet.rootfind import _brent, k_bracket, log_grid, solve_rows, solve_scalar
+from mmhet.single import solve_km
 
 
 def _wrap(f):
@@ -113,3 +120,91 @@ def test_k_bracket_defaults():
     assert hi == pytest.approx(1e6)
     with pytest.raises(ValueError):
         k_bracket(np.zeros(3))
+
+
+# --- the Brent stage against scipy's brentq ----------------------------------
+
+
+def _assert_brent_is_brentq(f, a, b):
+    # brentq at the arguments solve_scalar used to pass it: the port must
+    # give the same root, iteration count and convergence flag, bit for bit.
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    want, res = brentq(
+        f, a, b, xtol=1e-240, rtol=4.0 * np.finfo(np.float64).eps, maxiter=200,
+        full_output=True,
+    )
+    got = _brent(f, a, b)
+    assert got == (want, res.iterations, res.converged)
+    return got
+
+
+@pytest.fixture
+def brent_vs_brentq(monkeypatch):
+    # Checks every bracket solve_scalar hands to the Brent stage; returns
+    # the roots found.
+    roots = []
+
+    def checked(f, a, b):
+        got = _assert_brent_is_brentq(f, a, b)
+        roots.append(got[0])
+        return got
+
+    monkeypatch.setattr(rootfind, "_brent", checked)
+    return roots
+
+
+_SMOOTH = (
+    lambda c: lambda x: math.tanh(c[0] * (x - c[1])) + 1e-3 * c[2],
+    lambda c: lambda x: (x - c[1]) ** 3 + c[0] * (x - c[1]),
+    lambda c: lambda x: math.exp(c[0] * x) - math.exp(c[0] * c[1]),
+    lambda c: lambda x: math.log(x / c[1]),
+    lambda c: lambda x: 1.0 / x - 1.0 / c[1],
+    lambda c: lambda x: math.sin(c[0] * x),
+)
+
+
+def test_brent_matches_brentq_on_random_smooth_brackets():
+    rng = np.random.default_rng(20)
+    checked = 0
+    for i in range(6000):
+        c = rng.uniform(0.1, 3.0, 3)
+        f = _SMOOTH[i % len(_SMOOTH)](c)
+        a, b = rng.uniform(0.01, c[1]), c[1] + rng.uniform(0.01, 5.0)
+        if f(a) * f(b) < 0:
+            _assert_brent_is_brentq(f, a, b)
+            checked += 1
+    assert checked > 4000
+
+
+def test_brent_returns_an_endpoint_zero():
+    # brentq returns the endpoint too, but leaves its iteration count unset.
+    assert _brent(lambda x: (x - 1.0) ** 2, 1.0, 2.0) == (1.0, 0, True)
+    assert _brent(lambda x: x - 2.0, 1.0, 2.0) == (2.0, 0, True)
+    with pytest.raises(ValueError):
+        _brent(lambda x: x - 3.0, 1.0, 2.0)
+
+
+def test_brent_matches_brentq_on_ill_conditioned_profiles(brent_vs_brentq):
+    # The low-signal "mixed" curves of test_simbench: many profile roots
+    # sit far above the truth (km = 50), where the computed equation is
+    # ill-conditioned.
+    sc = SingleScenario(n=8, truth=MMParams(2.0, 50.0), replications=200, master_seed=5)
+    for spec in DEFAULT_CANDIDATES:
+        for r in range(sc.replications):
+            solve_km(generate_single(sc, r), spec)
+    roots = np.array(brent_vs_brentq)
+    assert roots.size > 500
+    assert ((roots > 5000) & (roots < 12000)).any()
+
+
+def test_brent_matches_brentq_on_gls_profile_at_gamma_floor(brent_vs_brentq):
+    # Replicate 415 of the m=6 clustered suite: the first moment update
+    # pins gamma at its floor against a large tau2.
+    data = generate_clustered(ClusterScenario(m=6), 415)
+    spec = VarianceSpec.power(0.5)
+    start = fit_single(data.pooled(), spec).params
+    tau2, gamma = moment_update_variance(data, start, spec)
+    assert gamma == GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    assert tau2 > 1e3
+    gls_km_profile(data, spec, tau2, gamma)
+    assert len(brent_vs_brentq) == 2  # the pooled start and the GLS profile

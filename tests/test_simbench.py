@@ -9,18 +9,16 @@ from mmhet import (
     SingleScenario,
     VarianceShape,
     VarianceSpec,
-    compute_metrics,
-    eval_h,
     fit_single,
     generate_clustered,
     generate_single,
     run_clustered_benchmark,
     run_single_benchmark,
-    true_variance,
 )
 from mmhet import simbench, single
+from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientSuccesses, MMHetError
-from mmhet.simbench import ClusterBenchmarkConfig
+from mmhet.simbench import ClusterBenchmarkConfig, compute_metrics, true_variance
 
 TRUTH = MMParams(100.0, 20.0)
 

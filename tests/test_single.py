@@ -6,28 +6,28 @@ from mmhet import (
     FitConfig,
     MMParams,
     VarianceSpec,
-    eval_h,
     fit_single,
-    gamma_hat,
     group_fit,
-    information_criteria,
-    mm_gradient,
     mm_mean,
-    plugin_covariance,
-    profile_F,
-    residuals,
     screen_models,
-    solve_km,
-    vmax_plugin,
 )
-from mmhet.core import DEFAULT_CANDIDATES
+from mmhet.core import DEFAULT_CANDIDATES, eval_h, mm_gradient, residuals
 from mmhet.exceptions import (
     AllCandidatesFailed,
     DegenerateDesign,
     NonconvergedFit,
     SingularInformation,
 )
-from mmhet.single import COND_LIMIT, sym2_inverse
+from mmhet.single import (
+    COND_LIMIT,
+    gamma_hat,
+    information_criteria,
+    plugin_covariance,
+    profile_F,
+    solve_km,
+    sym2_inverse,
+    vmax_plugin,
+)
 from oracles import cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
 
 POW_HALF = VarianceSpec.power(0.5)
