@@ -48,6 +48,19 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NONCONVERGED = 4
 
+def _checked(convert):
+    """An argparse type from a validating converter: its ValueError becomes a
+    usage error carrying the validator's message."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
+
+
 def _candidate_list(text: str) -> tuple[VarianceSpec, ...]:
     specs = tuple(VarianceSpec.parse(tok) for tok in text.split(",") if tok.strip())
     if not specs:
@@ -64,7 +77,8 @@ def _add_io_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", default=0.05,
+                   type=_checked(lambda t: FitConfig(alpha=float(t)).alpha))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,8 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--variance", type=VarianceSpec.parse, required=True,
         help="constant | log | pow:<p>",
     )
-    p_fit.add_argument("--bootstrap", type=int, default=0, metavar="B",
-                       help="add a wild-bootstrap interval with B replicates")
+    p_fit.add_argument(
+        "--bootstrap", default=0, metavar="B",
+        # B = 0 (no bootstrap) skips BootstrapConfig's minimum
+        type=_checked(lambda t: int(t) and BootstrapConfig(replicates=int(t)).replicates),
+        help="add a wild-bootstrap interval with B replicates",
+    )
     p_fit.add_argument("--multiplier", choices=["rademacher", "mammen"],
                        default="rademacher")
     p_fit.add_argument("--seed", type=int, default=0)
@@ -109,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="write one synthetic benchmark dataset")
     p_sim.add_argument("--scenario", choices=[s.value for s in VarianceShape],
                        default="mm")
-    p_sim.add_argument("--n", type=int, default=50)
+    p_sim.add_argument("--n", type=_checked(lambda t: SingleScenario(n=int(t)).n), default=50)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--replicate", type=int, default=0)
     p_sim.add_argument("--out", default=None, help="output CSV (default: stdout)")
@@ -117,7 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="run a Monte Carlo suite")
     p_bench.add_argument("--suite", choices=["single", "clustered"], required=True)
-    p_bench.add_argument("--replications", type=int, default=1000)
+    p_bench.add_argument(
+        "--replications", default=1000,
+        type=_checked(lambda t: SingleScenario(replications=int(t)).replications),
+    )
     p_bench.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p_bench.add_argument("--out", required=True,
                          help="output stem; writes <stem>.csv and <stem>.json")
@@ -139,8 +160,7 @@ def _ingest(ns) -> InputTable:
     return ingest_csv(ns.input, options)
 
 
-def _write(ns, doc: ReportDocument) -> None:
-    payload = emit_report(doc, ns.format)
+def _write(ns, payload: bytes) -> None:
     if ns.out:
         Path(ns.out).write_bytes(payload)
     else:
@@ -165,7 +185,7 @@ def _cmd_fit(ns) -> int:
         result = fit_single(data, ns.variance, conf)
     except NonconvergedFit as err:
         doc.fits = [fit_block(None, err.result, error=str(err), data=data)]
-        _write(ns, doc)
+        _write(ns, emit_report(doc, ns.format))
         return EXIT_NONCONVERGED
     bootstrap = None
     if ns.bootstrap:
@@ -180,7 +200,7 @@ def _cmd_fit(ns) -> int:
             ),
         )
     doc.fits = [fit_block(None, result, data=data, bootstrap=bootstrap)]
-    _write(ns, doc)
+    _write(ns, emit_report(doc, ns.format))
     return EXIT_OK
 
 
@@ -192,10 +212,10 @@ def _cmd_screen(ns) -> int:
         entries = screen_models(data, ns.candidates, FitConfig(alpha=ns.alpha))
     except AllCandidatesFailed as err:
         doc.fits = [fit_block(None, None, error=str(err))]
-        _write(ns, doc)
+        _write(ns, emit_report(doc, ns.format))
         return EXIT_NONCONVERGED
     doc.fits = screen_blocks(None, entries, data=data)
-    _write(ns, doc)
+    _write(ns, emit_report(doc, ns.format))
     return EXIT_OK
 
 
@@ -205,7 +225,7 @@ def _cmd_group(ns) -> int:
     doc = _base_doc(ns, "group", table)
     result = group_fit(panel, ns.candidates, FitConfig(alpha=ns.alpha))
     doc.fits, doc.panel = group_document_blocks(result)
-    _write(ns, doc)
+    _write(ns, emit_report(doc, ns.format))
     if result.label_errors and not result.best_by_label:
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -217,7 +237,7 @@ def _cmd_cluster(ns) -> int:
     doc = _base_doc(ns, "cluster", table)
     result = fit_clustered(data, ns.variance, FitConfig(alpha=ns.alpha))
     doc.fits = [fit_block(None, result, data=data.pooled())]
-    _write(ns, doc)
+    _write(ns, emit_report(doc, ns.format))
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
@@ -233,12 +253,7 @@ def _cmd_simulate(ns) -> int:
     lines.extend(
         f"{repr(float(s))},{repr(float(y))}" for s, y in zip(data.s, data.y)
     )
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    if ns.out:
-        Path(ns.out).write_bytes(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.flush()
+    _write(ns, ("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -268,35 +268,15 @@ def _cell(value) -> str:
 
 
 def _fit_csv_row(block: dict) -> list[str]:
-    ci_v = block.get("ci_vmax", [None, None])
-    ci_k = block.get("ci_km", [None, None])
-    values = [
-        "fit",
-        block.get("label"),
-        block.get("model"),
-        block.get("rank"),
-        block.get("converged"),
-        block.get("error"),
-        block.get("vmax"),
-        block.get("se_vmax"),
-        ci_v[0],
-        ci_v[1],
-        block.get("km"),
-        block.get("se_km"),
-        ci_k[0],
-        ci_k[1],
-        block.get("gamma"),
-        block.get("tau2"),
-        block.get("loglik"),
-        block.get("aic"),
-        block.get("bic"),
-    ]
-    return [_cell(v) for v in values]
+    row = {**block, "record": "fit"}
+    for name in ("vmax", "km"):
+        row[f"ci_{name}_lo"], row[f"ci_{name}_hi"] = block.get(f"ci_{name}", (None, None))
+    return [_cell(row.get(col)) for col in FIT_CSV_COLUMNS]
 
 
 def _metric_csv_row(row: dict) -> list[str]:
-    values = ["metric"] + [row.get(col) for col in METRIC_CSV_COLUMNS[1:]]
-    return [_cell(v) for v in values]
+    row = {**row, "record": "metric"}
+    return [_cell(row.get(col)) for col in METRIC_CSV_COLUMNS]
 
 
 def _emit_csv(doc: ReportDocument) -> str:

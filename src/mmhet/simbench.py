@@ -13,8 +13,9 @@ within-cluster noise.  Pooled fits ignore the clustering on purpose.
 Replicate r of a scenario draws from a stream keyed by (master_seed,
 stream tag, r).  Every replicate of a scenario shares one design, so each
 (scenario, method) cell stacks its replicates' responses and fits them
-together through single.fit_rows; rows it leaves unsolved go through
-fit_single one by one.  The clustered fit runs replicate by replicate.
+with one single.fit_rows call, which also refits the replicates its
+batched root stage cannot bracket through fit_single.  The clustered fit
+runs replicate by replicate.
 Each row's arithmetic is independent of the rows beside it, so reports
 are identical whatever fit_rows' block size.
 """
@@ -39,7 +40,7 @@ from .core import (
     wald_z,
 )
 from .exceptions import InsufficientSuccesses, MMHetError
-from .single import FitConfig, fit_rows, fit_single
+from .single import FitConfig, fit_rows, fit_single  # fit_single: bench/tracing.py wraps it here
 
 SINGLE_STREAM = 1
 CLUSTER_STREAM = 2
@@ -310,20 +311,12 @@ class _CellFits:
     tau2: np.ndarray | None = None  # (R,), clustered fits only
 
 
-def _fit_cell(s: np.ndarray, y: np.ndarray, spec: VarianceSpec, alpha: float) -> _CellFits:
-    """fit_single for every row of y (R, n) on the shared design s."""
+def _fit_cell(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> _CellFits:
+    """fit_single's outcome for every row of y (R, n) on the shared design s."""
     start = time.perf_counter()
     rows = fit_rows(s, y, spec)
-    theta, se, gamma = rows.theta, rows.se, rows.gamma
-    conf = FitConfig(alpha=alpha)
-    for i in np.flatnonzero(~rows.solved):
-        try:
-            fit = fit_single(Dataset(s, y[i]), spec, conf)
-        except MMHetError:
-            continue
-        theta[i], se[i], gamma[i] = fit.params.as_array(), fit.se, fit.gamma
-    ok = np.isfinite(se).all(axis=1)
-    return _CellFits(ok, theta, se, gamma, time.perf_counter() - start)
+    ok = np.isfinite(rows.se).all(axis=1)
+    return _CellFits(ok, rows.theta, rows.se, rows.gamma, time.perf_counter() - start)
 
 
 def _fitted_surface(cell: _CellFits, spec: VarianceSpec, s: np.ndarray) -> np.ndarray:
@@ -370,7 +363,7 @@ def run_single_benchmark(config: SingleBenchmarkConfig | None = None) -> Benchma
         y = np.array([generate_single(scenario, r).y for r in range(scenario.replications)])
         v_true = true_variance(scenario.shape, grid)
         for spec in config.methods:
-            cell = _fit_cell(grid, y, spec, config.alpha)
+            cell = _fit_cell(grid, y, spec)
             fitted = _fitted_surface(cell, spec, grid)
             rows.append(
                 _cell_metrics(scenario, spec.label(), cell, fitted, v_true, config.alpha)
@@ -468,7 +461,7 @@ def run_clustered_benchmark(
         y_pooled = np.array([data.pooled().y for data in panels])
 
         for spec in config.pooled_specs:
-            cell = _fit_cell(s_pooled, y_pooled, spec, config.alpha)
+            cell = _fit_cell(s_pooled, y_pooled, spec)
             fitted = _fitted_surface(cell, spec, s_design)
             row = _cell_metrics(
                 scenario, f"pooled-{spec.label()}", cell, fitted, v_true, config.alpha

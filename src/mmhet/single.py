@@ -19,12 +19,16 @@ with weights 1/h_i, which is what the test-suite oracles exploit.
 
 ``fit_rows`` runs the same fit for many response vectors over one design
 (the wild bootstrap's refits, the Monte Carlo suites' replicates): one grid
-evaluation for all of them, a lockstep root refinement, and closed-form
-plug-ins per row.
+evaluation for all of them, a lockstep root refinement, and the plug-in
+stage per row.  It refits the rows the lockstep stage cannot bracket
+through ``fit_single``, so it returns every row's final outcome.
+``fit_single`` finishes through the same plug-in stage on one row, so each
+plug-in formula and each post-root failure rule is written once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -116,8 +120,7 @@ def profile_F(k: float, data: Dataset, spec: VarianceSpec) -> float:
 
 def _vmax_rows(km: np.ndarray, s, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in vmax for row-wise km (rows,) and y (rows, n), with the
-    denominators; a denominator that is not finite and positive cannot
-    identify vmax."""
+    denominators."""
     d = km[:, None] + s
     w = s / (d * h)
     num = (w * y).sum(axis=1)
@@ -126,13 +129,63 @@ def _vmax_rows(km: np.ndarray, s, y: np.ndarray, h) -> tuple[np.ndarray, np.ndar
         return num / den, den
 
 
-def _vmax_plugin_arrays(km: float, s, y, h) -> float:
-    vmax, den = _vmax_rows(np.array([km]), s, y[None, :], h)
-    if not np.isfinite(den[0]) or den[0] <= 0:
-        raise DegenerateDesign(
-            f"vmax plug-in denominator is {float(den[0])!r}; design cannot identify vmax"
+def _gamma_rows(s, h, y: np.ndarray, vmax: np.ndarray, km: np.ndarray) -> np.ndarray:
+    """Dispersion mean(resid^2 / h) for row-wise (vmax, km) and y (rows, n)."""
+    r = y - vmax[:, None] * (s / (km[:, None] + s))
+    # sum / n: the bits of mean() at a fraction of its per-call cost on one row
+    return (r * r / h).sum(axis=1) / s.size
+
+
+def _plugin_cov_rows(s, h, vmax: np.ndarray, km: np.ndarray, gamma: np.ndarray):
+    """(gamma / n) * Minv for row-wise (vmax, km, gamma) as (rows, 2, 2), and
+    the ok mask of sym2_inverse."""
+    d = km[:, None] + s
+    g1 = s / d
+    g2 = -vmax[:, None] * s / (d * d)
+    n = s.size
+    m11 = (g1 * g1 / h).sum(axis=1) / n
+    m12 = (g1 * g2 / h).sum(axis=1) / n
+    m22 = (g2 * g2 / h).sum(axis=1) / n
+    i11, i12, i22, ok = sym2_inverse(m11, m12, m22)
+    scale = gamma / n
+    c12 = scale * i12
+    return np.array([[scale * i11, c12], [c12, scale * i22]]).transpose(2, 0, 1), ok
+
+
+def _plugin_failure(den=1.0, vmax=1.0, gamma=0.0, ok=True) -> MMHetError | None:
+    """The exception fit_single raises after its root for one row's plug-in
+    values (Python scalars), else None.  The checks run in fit_single's
+    order; a value not given passes its check."""
+    if not (math.isfinite(den) and den > 0):
+        return DegenerateDesign(
+            f"vmax plug-in denominator is {den!r}; design cannot identify vmax"
         )
-    return float(vmax[0])
+    if not (math.isfinite(vmax) and vmax > 0):
+        return DegenerateDesign(
+            f"plug-in vmax = {vmax!r}; data are not consistent with a saturating curve"
+        )
+    if not math.isfinite(gamma):
+        return DegenerateDesign(f"plug-in gamma = {gamma!r}; the squared residuals overflow")
+    if not ok:
+        return SingularInformation(f"information matrix condition exceeds {COND_LIMIT:g}")
+    return None
+
+
+def _plugin_rows(s, h, y: np.ndarray, km: np.ndarray):
+    """fit_single's steps after the root, for row-wise km (rows,) and y
+    (rows, n): vmax, the covariance (rows, 2, 2), the standard errors
+    (rows, 2), gamma and each row's failure (an exception, else None)."""
+    vmax, den = _vmax_rows(km, s, y, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # _plugin_failure names such rows
+        gamma = _gamma_rows(s, h, y, vmax, km)
+        cov, ok = _plugin_cov_rows(s, h, vmax, km, gamma)
+    se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    failure = np.empty(km.size, dtype=object)
+    failure[:] = [
+        _plugin_failure(*row)
+        for row in zip(den.tolist(), vmax.tolist(), gamma.tolist(), ok.tolist())
+    ]
+    return vmax, cov, se, gamma, failure
 
 
 def vmax_plugin(km: float, data: Dataset, spec: VarianceSpec) -> float:
@@ -140,7 +193,11 @@ def vmax_plugin(km: float, data: Dataset, spec: VarianceSpec) -> float:
     if not (np.isfinite(km) and km > 0):
         raise ValueError("km must be positive and finite")
     h = eval_h(spec, data.s)
-    return _vmax_plugin_arrays(km, data.s, data.y, h)
+    vmax, den = _vmax_rows(np.array([km]), data.s, data.y[None, :], h)
+    failure = _plugin_failure(den=float(den[0]))
+    if failure is not None:
+        raise failure
+    return float(vmax[0])
 
 
 def _require_identifiable(s: np.ndarray) -> None:
@@ -150,19 +207,21 @@ def _require_identifiable(s: np.ndarray) -> None:
         )
 
 
+def _solve_km(s, y, h) -> tuple[float, SolverDiagnostics]:
+    return solve_scalar(lambda ks: _profile_terms(ks, s, y, h), *k_bracket(s))
+
+
 def solve_km(data: Dataset, spec: VarianceSpec) -> tuple[float, SolverDiagnostics]:
     """Root of the profile equation, with bracket/fallback diagnostics."""
     _require_identifiable(data.s)
-    h = eval_h(spec, data.s)
-    s, y = data.s, data.y
-    return solve_scalar(lambda ks: _profile_terms(ks, s, y, h), *k_bracket(s))
+    return _solve_km(data.s, data.y, eval_h(spec, data.s))
 
 
 def gamma_hat(data: Dataset, params: MMParams, spec: VarianceSpec) -> float:
     """Dispersion estimate: mean of squared residuals over h."""
     h = eval_h(spec, data.s)
-    r = data.y - mm_mean(data.s, params)
-    return float(np.mean(r * r / h))
+    vmax, km = np.array([params.vmax]), np.array([params.km])
+    return float(_gamma_rows(data.s, h, data.y[None, :], vmax, km)[0])
 
 
 def sym2_inverse(a, b, d):
@@ -180,20 +239,6 @@ def sym2_inverse(a, b, d):
         return d / det, -b / det, a / det, ok
 
 
-def _plugin_cov_rows(s, h, vmax: np.ndarray, km: np.ndarray, gamma: np.ndarray):
-    """Entries (c11, c12, c22) of (gamma / n) * Minv for row-wise (vmax, km,
-    gamma), and the ok mask of sym2_inverse."""
-    d = km[:, None] + s
-    g1 = s / d
-    g2 = -vmax[:, None] * s / (d * d)
-    m11 = (g1 * g1 / h).mean(axis=1)
-    m12 = (g1 * g2 / h).mean(axis=1)
-    m22 = (g2 * g2 / h).mean(axis=1)
-    i11, i12, i22, ok = sym2_inverse(m11, m12, m22)
-    scale = gamma / s.size
-    return scale * i11, scale * i12, scale * i22, ok
-
-
 def plugin_covariance(
     data: Dataset, params: MMParams, gamma: float, spec: VarianceSpec
 ) -> np.ndarray:
@@ -201,23 +246,18 @@ def plugin_covariance(
     if not np.isfinite(gamma) or gamma < 0:
         raise ValueError("gamma must be finite and nonnegative")
     h = eval_h(spec, data.s)
-    c11, c12, c22, ok = _plugin_cov_rows(
+    cov, ok = _plugin_cov_rows(
         data.s, h, np.array([params.vmax]), np.array([params.km]), gamma
     )
-    if not ok[0]:
-        raise SingularInformation(
-            f"information matrix condition exceeds {COND_LIMIT:g}"
-        )
-    return np.array([[c11[0], c12[0]], [c12[0], c22[0]]])
+    failure = _plugin_failure(ok=bool(ok[0]))
+    if failure is not None:
+        raise failure
+    return cov[0]
 
 
-def information_criteria(
-    data: Dataset, params: MMParams, gamma: float, spec: VarianceSpec
-) -> tuple[float, float, float]:
-    """Gaussian log-likelihood with variance gamma*h, and AIC/BIC at p = 3."""
-    h = eval_h(spec, data.s)
-    r = data.y - mm_mean(data.s, params)
-    n = data.n
+def _information_criteria(s, y, h, params: MMParams, gamma: float):
+    r = y - mm_mean(s, params)
+    n = s.size
     if gamma == 0.0:
         if np.any(r != 0.0):
             # Impossible by construction: gamma is the mean of r^2/h.
@@ -232,31 +272,38 @@ def information_criteria(
     return float(loglik), float(aic), float(bic)
 
 
+def information_criteria(
+    data: Dataset, params: MMParams, gamma: float, spec: VarianceSpec
+) -> tuple[float, float, float]:
+    """Gaussian log-likelihood with variance gamma*h, and AIC/BIC at p = 3."""
+    return _information_criteria(data.s, data.y, eval_h(spec, data.s), params, gamma)
+
+
 def fit_single(
     data: Dataset, spec: VarianceSpec, conf: FitConfig | None = None
 ) -> FitResult:
     """Full single-curve fit under one working variance shape.
 
-    Raises NonconvergedFit (carrying the partial result and diagnostics)
-    when the scalar solve had to fall back without reaching a root.
+    After the root search it runs fit_rows' plug-in stage on one row and
+    raises the exception that stage names.  Raises NonconvergedFit (carrying
+    the partial result and diagnostics) when the scalar solve had to fall
+    back without reaching a root.
     """
     conf = conf if conf is not None else FitConfig()
-    km, diag = solve_km(data, spec)
-    h = eval_h(spec, data.s)
-    vmax = _vmax_plugin_arrays(km, data.s, data.y, h)
-    if not np.isfinite(vmax) or vmax <= 0:
-        raise DegenerateDesign(
-            f"plug-in vmax = {vmax!r}; data are not consistent with a "
-            "saturating curve"
-        )
+    s, y = data.s, data.y
+    _require_identifiable(s)
+    h = eval_h(spec, s)
+    km, diag = _solve_km(s, y, h)
+    vmax, cov, se, gamma, failure = _plugin_rows(s, h, y[None, :], np.array([km]))
+    if failure[0] is not None:
+        raise failure[0]
+    # copies, so that a kept result does not pin the stage's row arrays
+    vmax, gamma, cov, se = float(vmax[0]), float(gamma[0]), cov[0].copy(), se[0].copy()
     params = MMParams(vmax, km)
-    gamma = gamma_hat(data, params, spec)
-    cov = plugin_covariance(data, params, gamma, spec)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     z = wald_z(conf.alpha)
     ci_vmax = (vmax - z * se[0], vmax + z * se[0])
     ci_km = (km - z * se[1], km + z * se[1])
-    loglik, aic, bic = information_criteria(data, params, gamma, spec)
+    loglik, aic, bic = _information_criteria(s, y, h, params, gamma)
     result = FitResult(
         params=params,
         gamma=gamma,
@@ -283,35 +330,32 @@ def fit_single(
 
 @dataclass(frozen=True, eq=False)
 class RowFits:
-    """Outcome of fit_rows, one entry per response row."""
+    """fit_single's outcome for every response row of fit_rows."""
 
     theta: np.ndarray  # (rows, 2): vmax, km; NaN where the row did not fit
     se: np.ndarray  # (rows, 2) plug-in standard errors
     gamma: np.ndarray  # (rows,) dispersion estimates
-    solved: np.ndarray  # False where the row is left to fit_single
     failure: np.ndarray  # exception-class name fit_single raises, else None
 
 
 def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
-    """fit_single's estimates and standard errors for every row of y, all
-    observed on the design s under one variance shape.
+    """fit_single's estimates, standard errors and failures for every row of
+    y, all observed on the design s under one variance shape.
 
-    Rows are fit BLOCK_ROWS at a time.  A row's failure is named where
-    fit_single would raise for it.  Rows the batched root stage cannot
-    bracket (see solve_rows) and rows with a non-finite dispersion come back
-    unsolved, for fit_single to decide.
+    Rows are fit BLOCK_ROWS at a time: one grid scan, the lockstep root
+    stage solve_rows, and the plug-in stage fit_single also runs.  Rows
+    solve_rows cannot bracket are then fit one by one through fit_single.
     """
     rows = y.shape[0]
     theta = np.full((rows, 2), np.nan)
     se = np.full((rows, 2), np.nan)
     gamma = np.full(rows, np.nan)
-    solved = np.ones(rows, dtype=bool)
     failure = np.full(rows, None, dtype=object)
     try:
         _require_identifiable(s)
     except DegenerateDesign as err:
         failure[:] = type(err).__name__
-        return RowFits(theta, se, gamma, solved, failure)
+        return RowFits(theta, se, gamma, failure)
     h = eval_h(spec, s)
     ks = log_grid(*k_bracket(s))
     d = ks[:, None] + s
@@ -319,44 +363,31 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
     wd = w / d
     s3 = (wd * s / d).sum(axis=1)
     s4 = (w * s / d).sum(axis=1)
+    unbracketed = []
     for first in range(0, rows, BLOCK_ROWS):
-        part = slice(first, first + BLOCK_ROWS)
-        yb = y[part]
+        yb = y[first:first + BLOCK_ROWS]
         # The profile equation's two y-dependent sums on the grid.  einsum,
         # unlike a BLAS matmul, gives each row the same sums whatever rows
         # share its block.
         values = np.einsum("rn,kn->rk", yb, w) * s3 - np.einsum("rn,kn->rk", yb, wd) * s4
         km = solve_rows(values, ks, lambda x, idx: _profile_terms(x, s, yb[idx], h)[0])
-        fits = _plugin_rows(s, h, yb, km)
-        theta[part], se[part], gamma[part], solved[part], failure[part] = fits
-    return RowFits(theta, se, gamma, solved, failure)
-
-
-def _plugin_rows(s, h, y, km):
-    """fit_single's steps after the root for row-wise km (NaN: unsolved)."""
-    theta = np.full((km.size, 2), np.nan)
-    se = np.full((km.size, 2), np.nan)
-    gamma_out = np.full(km.size, np.nan)
-    failure = np.full(km.size, None, dtype=object)
-    solved = np.isfinite(km)
-    idx = np.flatnonzero(solved)
-    km = km[idx]
-    vmax, den = _vmax_rows(km, s, y[idx], h)
-    r = y[idx] - vmax[:, None] * (s / (km[:, None] + s))
-    gamma = np.mean(r * r / h, axis=1)
-    c11, _, c22, ok = _plugin_cov_rows(s, h, vmax, km, gamma)
-
-    degenerate = ~(np.isfinite(den) & (den > 0) & np.isfinite(vmax) & (vmax > 0))
-    finite = np.isfinite(gamma)
-    solved[idx] = degenerate | finite
-    singular = ~degenerate & finite & ~ok
-    good = ~degenerate & finite & ok
-    failure[idx[degenerate]] = DegenerateDesign.__name__
-    failure[idx[singular]] = SingularInformation.__name__
-    theta[idx[good]] = np.column_stack([vmax, km])[good]
-    se[idx[good]] = np.sqrt(np.maximum(np.column_stack([c11, c22]), 0.0))[good]
-    gamma_out[idx[good]] = gamma[good]
-    return theta, se, gamma_out, solved, failure
+        solved = np.isfinite(km)
+        unbracketed.extend(first + np.flatnonzero(~solved))
+        km = km[solved]
+        vmax, _, se_b, gamma_b, errors = _plugin_rows(s, h, yb[solved], km)
+        fit = np.equal(errors, None)
+        at = first + np.flatnonzero(solved)
+        theta[at[fit]] = np.column_stack([vmax, km])[fit]
+        se[at[fit]], gamma[at[fit]] = se_b[fit], gamma_b[fit]
+        failure[at[~fit]] = [type(err).__name__ for err in errors[~fit]]
+    for i in unbracketed:
+        try:
+            one = fit_single(Dataset(s, y[i]), spec)
+        except MMHetError as err:
+            failure[i] = type(err).__name__
+        else:
+            theta[i], se[i], gamma[i] = one.params.as_array(), one.se, one.gamma
+    return RowFits(theta, se, gamma, failure)
 
 
 @dataclass(frozen=True, eq=False)

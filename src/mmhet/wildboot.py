@@ -8,9 +8,10 @@ interval is
     [ theta - q_{1-alpha/2}(t*) * se,  theta - q_{alpha/2}(t*) * se ].
 
 Replicate b draws its multipliers from an independent stream keyed by
-(seed, stream tag, b).  Refits run through single.fit_rows, which works
-in fixed blocks of replicates; every row's arithmetic is independent of the
-rows beside it, so results are identical whatever the block size.
+(seed, stream tag, b).  All refits share the original design and are one
+single.fit_rows call, which also refits the replicates it cannot bracket
+and names each failed refit.  Every row's arithmetic is independent of the
+rows beside it, so results are identical whatever fit_rows' block size.
 Quantiles are the usual linear-interpolation (type 7) ones.
 """
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, mm_mean
-from .exceptions import MMHetError, TooManyFailures
-from .single import FitConfig, FitResult, fit_rows, fit_single
+from .exceptions import TooManyFailures
+from .single import FitResult, fit_rows, fit_single  # fit_single: bench/tracing.py wraps it here
 
 # Stream tag separating bootstrap draws from the benchmark generators.
 BOOT_STREAM = 3
@@ -87,49 +88,27 @@ def _replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, BOOT_STREAM, index)))
 
 
-def _pivots(boot_theta: np.ndarray, boot_se: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Studentized pivots (theta* - theta) / se* row by row."""
-    diff = boot_theta - theta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / boot_se
-    t[(boot_se == 0.0) & (diff == 0.0)] = 0.0  # degenerate 0/0 pivot guarded to zero
-    return t
-
-
-def _refit_pivot(s, y, spec, theta, fit_conf) -> tuple[np.ndarray, str | None]:
-    """Pivot of one replicate through fit_single, and its failure reason."""
-    try:
-        refit = fit_single(Dataset(s, y), spec, fit_conf)
-    except MMHetError as err:
-        return np.full(2, np.nan), type(err).__name__
-    return _pivots(refit.params.as_array()[None, :], refit.se[None, :], theta)[0], None
-
-
 def replicate_pivots(
     data: Dataset, fit: FitResult, conf: BootstrapConfig
 ) -> tuple[np.ndarray, list[str | None]]:
-    """Pivots of replicates 1..B as a (B, 2) array over (vmax, km), and
-    each replicate's failure reason (None where it fit).
-
-    Replicates are refit together by fit_rows; the rows it leaves unsolved
-    go through fit_single one by one.
+    """Studentized pivots (theta* - theta) / se* of replicates 1..B as a
+    (B, 2) array over (vmax, km), and each replicate's failure reason (None
+    where it fit).  All replicates are refit by one fit_rows call.
     """
     mu = mm_mean(data.s, fit.params)
     resid = data.y - mu
-    theta = fit.params.as_array()
-    fit_conf = FitConfig(alpha=fit.alpha)
-    spec = fit.variance_spec
     # y*_b = mu + resid * w_b, built in place over the multipliers
     y = np.empty((conf.replicates, data.n))
     for b in range(conf.replicates):
         y[b] = draw_multipliers(conf.multiplier, data.n, _replicate_stream(conf.seed, b + 1))
     y *= resid
     y += mu
-    rows = fit_rows(data.s, y, spec)
-    pivots = _pivots(rows.theta, rows.se, theta)
+    rows = fit_rows(data.s, y, fit.variance_spec)
+    diff = rows.theta - fit.params.as_array()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pivots = diff / rows.se
+    pivots[(rows.se == 0.0) & (diff == 0.0)] = 0.0  # degenerate 0/0 pivot guarded to zero
     failure = rows.failure
-    for i in np.flatnonzero(~rows.solved):
-        pivots[i], failure[i] = _refit_pivot(data.s, y[i], spec, theta, fit_conf)
     failure[np.equal(failure, None) & ~np.isfinite(pivots).all(axis=1)] = NONFINITE_PIVOT
     return pivots, failure.tolist()
 

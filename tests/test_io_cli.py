@@ -10,11 +10,14 @@ import pytest
 
 import mmhet
 from mmhet import (
+    ClusterScenario,
     MMParams,
     ReportDocument,
     SingleScenario,
     emit_report,
+    fit_clustered,
     fit_single,
+    generate_clustered,
     generate_single,
     ingest_csv,
     mm_mean,
@@ -193,6 +196,39 @@ def test_csv_layout(rng):
     assert float(first[vmax_col]) == entries[0].result.params.vmax
 
 
+def _json_field(block: dict, column: str):
+    """The JSON value a CSV fit column flattens."""
+    if column == "record":
+        return "fit"
+    if column.startswith("ci_"):
+        name, end = column[len("ci_"):].rsplit("_", 1)
+        return block.get(f"ci_{name}", [None, None])[["lo", "hi"].index(end)]
+    return block.get(column)
+
+
+def test_csv_fit_cells_match_json_fields(rng):
+    doc, _ = _screen_doc(rng)
+    panel = generate_clustered(ClusterScenario(m=3, replications=1, master_seed=3), 0)
+    cluster = fit_clustered(panel, VarianceSpec.power(0.5))
+    doc.fits = [doc.fits[0], fit_block("plate", cluster), fit_block("bad", None, error="boom")]
+    blocks = json.loads(emit_report(doc, "json"))["fits"]
+    assert "tau2" in blocks[1] and blocks[1]["tau2"] is not None
+    lines = emit_report(doc, "csv").decode("utf-8").strip().split("\n")
+    assert lines[0] == ",".join(FIT_CSV_COLUMNS)
+    assert len(lines) == 1 + len(blocks)
+    for block, line in zip(blocks, lines[1:]):
+        cells = line.split(",")
+        assert len(cells) == len(FIT_CSV_COLUMNS)
+        for column, cell in zip(FIT_CSV_COLUMNS, cells):
+            want = _json_field(block, column)
+            if want is None:
+                assert cell == "", column
+            elif isinstance(want, bool):
+                assert cell == ("true" if want else "false"), column
+            else:
+                assert type(want)(cell) == want, column
+
+
 def test_text_report_ranks_ascending(rng):
     # one body line per candidate model, ordered by ascending AIC
     doc, entries = _screen_doc(rng)
@@ -291,6 +327,15 @@ def test_cli_usage_errors(tmp_path):
     assert cli_dispatch(["fit", "--input", csv_path]) == EXIT_USAGE
     # unknown subcommand
     assert cli_dispatch(["transmogrify"]) == EXIT_USAGE
+    # out-of-range values, rejected by the validators of the configs they feed
+    fit = ["fit", "--input", csv_path, "--variance", "constant"]
+    assert cli_dispatch(fit + ["--alpha", "1.5"]) == EXIT_USAGE
+    assert cli_dispatch(fit + ["--bootstrap", "10"]) == EXIT_USAGE
+    assert cli_dispatch(fit + ["--bootstrap", "0", "--out", str(tmp_path / "f.json")]) == EXIT_OK
+    assert cli_dispatch(
+        ["benchmark", "--suite", "single", "--replications", "0", "--out", str(tmp_path / "b")]
+    ) == EXIT_USAGE
+    assert cli_dispatch(["simulate", "--n", "2"]) == EXIT_USAGE
 
 
 def test_cli_data_errors(tmp_path):

@@ -288,16 +288,35 @@ def _loop_cell(datasets, spec):
     return np.array(est), np.array(intervals), np.array(ses), np.array(gammas)
 
 
+def _count_fallback(monkeypatch):
+    """Wrap single.fit_single, the fallback inside fit_rows; the returned
+    list records True for each call that fit and False for each that raised."""
+    outcomes = []
+    fit = single.fit_single
+
+    def counted(*args, **kwargs):
+        try:
+            result = fit(*args, **kwargs)
+        except MMHetError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return result
+
+    monkeypatch.setattr(single, "fit_single", counted)
+    return outcomes
+
+
 # The shipped design fits every row in the batched stage.  "fallback" runs
-# the same design with every row handed to fit_single, since suite data
-# whose fallback rows fit are not known (none of 8969 in a sweep of
-# low-signal scenarios).  The low-signal curve mixes all three outcomes per
-# method: rows fit_rows fails itself, rows it hands to the fallback (which
-# fail there too), and rows it fits.  Some of its roots sit near k = 8000,
-# 160 times the truth, where the computed profile equation changes sign
-# several times within 5e-11 of the root; the batched and the scalar solver
-# then stop at different sign changes, both valid, whose estimates differ by
-# up to 3.2e-11.
+# the same design with solve_rows bracketing no row, so fit_rows sends every
+# row through its fit_single fallback, since suite data whose fallback rows
+# fit are not known (none of 8969 in a sweep of low-signal scenarios).  The
+# low-signal curve mixes all three outcomes per method: rows fit_rows fails
+# itself, rows it hands to the fallback (which fail there too), and rows it
+# fits.  Some of its roots sit near k = 8000, 160 times the truth, where the
+# computed profile equation changes sign several times within 5e-11 of the
+# root; the batched and the scalar solver then stop at different sign
+# changes, both valid, whose estimates differ by up to 3.2e-11.
 _SHIPPED = SingleScenario(shape="hill", n=20, replications=60, master_seed=5)
 _ORACLE_CASES = {
     "shipped": (_SHIPPED, 1e-12),
@@ -314,26 +333,21 @@ def test_single_benchmark_matches_fit_single_loop(monkeypatch, case):
     sc, rtol = _ORACLE_CASES[case]
     datasets = [generate_single(sc, r) for r in range(sc.replications)]
     if case == "fallback":
-
-        def unsolved(s, y, spec):
-            rows = y.shape[0]
-            return single.RowFits(
-                np.full((rows, 2), np.nan),
-                np.full((rows, 2), np.nan),
-                np.full(rows, np.nan),
-                np.zeros(rows, dtype=bool),
-                np.full(rows, None, dtype=object),
-            )
-
-        monkeypatch.setattr(simbench, "fit_rows", unsolved)
+        monkeypatch.setattr(
+            single, "solve_rows", lambda values, ks, evaluate: np.full(values.shape[0], np.nan)
+        )
     if case == "mixed":
         y = np.array([data.y for data in datasets])
         for spec in DEFAULT_CANDIDATES:
-            rows = single.fit_rows(sc.grid(), y, spec)
-            assert (~rows.solved).any()
-            assert (rows.solved & np.not_equal(rows.failure, None)).any()
-            assert (rows.solved & np.equal(rows.failure, None)).any()
+            with monkeypatch.context() as patch:
+                fallback = _count_fallback(patch)
+                rows = single.fit_rows(sc.grid(), y, spec)
+            failed = int(np.not_equal(rows.failure, None).sum())
+            assert fallback  # handed to the fallback
+            assert failed > fallback.count(False)  # failed in the batched stage
+            assert sc.replications - failed > fallback.count(True)  # fit in the batched stage
 
+    fallback = _count_fallback(monkeypatch)
     calls = []
     compute = simbench.compute_metrics
 
@@ -343,6 +357,8 @@ def test_single_benchmark_matches_fit_single_loop(monkeypatch, case):
 
     monkeypatch.setattr(simbench, "compute_metrics", record)
     report = run_single_benchmark(SingleBenchmarkConfig(scenarios=(sc,)))
+    if case == "fallback":
+        assert len(fallback) == sc.replications * len(DEFAULT_CANDIDATES)
     assert len(calls) == len(report.rows) == len(DEFAULT_CANDIDATES)
     for spec, args, row in zip(DEFAULT_CANDIDATES, calls, report.rows):
         est, intervals, ses, gammas = _loop_cell(datasets, spec)

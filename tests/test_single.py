@@ -12,14 +12,17 @@ from mmhet import (
     screen_models,
 )
 from mmhet.core import DEFAULT_CANDIDATES, eval_h, mm_gradient, residuals
+from mmhet import single
 from mmhet.exceptions import (
     AllCandidatesFailed,
     DegenerateDesign,
+    MMHetError,
     NonconvergedFit,
     SingularInformation,
 )
 from mmhet.single import (
     COND_LIMIT,
+    fit_rows,
     gamma_hat,
     information_criteria,
     plugin_covariance,
@@ -29,6 +32,7 @@ from mmhet.single import (
     vmax_plugin,
 )
 from oracles import cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
+from test_bootstrap import _S8, _Y_FLAGGED, _Y_TOOMANY
 
 POW_HALF = VarianceSpec.power(0.5)
 CONSTANT = VarianceSpec.constant()
@@ -345,6 +349,68 @@ def test_group_fit_isolates_broken_label(rng):
     assert mean_aics == sorted(mean_aics)
 
 
+def test_group_fit_isolates_overflowing_dispersion(rng):
+    # Squared residuals of a 1e155-scaled curve overflow, so gamma is inf.
+    ok = _noisy(rng, POW_HALF)
+    out = group_fit({"ok": ok, "huge": Dataset(ok.s, 1e155 * ok.y)})
+    assert set(out.label_errors) == {"huge"}
+    assert "gamma = inf" in out.label_errors["huge"]
+    assert set(out.best_by_label) == {"ok"}
+    with pytest.raises(DegenerateDesign):
+        fit_single(Dataset(ok.s, 1e155 * ok.y), POW_HALF)
+
+
 def test_group_fit_rejects_empty_panel():
     with pytest.raises(ValueError):
         group_fit({})
+
+
+# --- batched rows ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [CONSTANT, POW_HALF], ids=lambda spec: spec.label())
+def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
+    # Wild resamples of the low-signal curves with doubled Gaussian
+    # multipliers: fit_rows fits some rows in its batched stage, fails some
+    # there (vmax <= 0) and hands the rows it cannot bracket to fit_single.
+    # The last row overflows the dispersion.
+    rng = np.random.default_rng(7)
+    blocks = []
+    for y0 in (_Y_FLAGGED, _Y_TOOMANY):
+        mu = mm_mean(_S8, fit_single(Dataset(_S8, y0), spec).params)
+        blocks.append(mu + 2.0 * (y0 - mu) * rng.standard_normal((150, _S8.size)))
+    y = np.vstack(blocks + [1e155 * _Y_FLAGGED])
+
+    handed = []
+    fit = single.fit_single
+
+    def counted(data, *args, **kwargs):
+        handed.append(data.y.tobytes())
+        return fit(data, *args, **kwargs)
+
+    monkeypatch.setattr(single, "fit_single", counted)
+    rows = fit_rows(_S8, y, spec)
+    monkeypatch.undo()
+
+    want = np.full((y.shape[0], 5), np.nan)
+    reasons = []
+    for i, yi in enumerate(y):
+        try:
+            one = fit_single(Dataset(_S8, yi), spec)
+        except MMHetError as err:
+            reasons.append(type(err).__name__)
+            continue
+        reasons.append(None)
+        want[i] = [*one.params.as_array(), *one.se, one.gamma]
+    assert rows.failure.tolist() == reasons
+    got = np.column_stack([rows.theta, rows.se, rows.gamma])
+    failed = np.array([r is not None for r in reasons])
+    assert np.isnan(got[failed]).all()
+    scale = np.maximum(np.maximum(np.abs(got[~failed]), np.abs(want[~failed])), 1.0)
+    assert np.max(np.abs(got[~failed] - want[~failed]) / scale) <= 1e-12
+
+    batched = np.array([yi.tobytes() not in handed for yi in y])
+    assert (~batched).any()
+    assert (batched[:-1] & failed[:-1]).any()
+    assert (batched & ~failed).any()
+    assert batched[-1] and reasons[-1] == "DegenerateDesign"
