@@ -13,11 +13,12 @@ within-cluster noise.  Pooled fits ignore the clustering on purpose.
 Replicate r of a scenario draws from a stream keyed by (master_seed,
 stream tag, r).  Every replicate of a scenario shares one design, so each
 (scenario, method) cell stacks its replicates' responses and fits them
-with one single.fit_rows call, which also refits the replicates its
-batched root stage cannot bracket through fit_single.  The clustered fit
-runs replicate by replicate.
-Each row's arithmetic is independent of the rows beside it, so reports
-are identical whatever fit_rows' block size.
+with one call: single.fit_rows for the single-curve and pooled fits, which
+refits the replicates its batched root stage cannot bracket through
+fit_single, and cluster.fit_clustered_rows for the clustered fit, which
+hands the replicates its lockstep alternation cannot finish to
+fit_clustered.  Each row's arithmetic is independent of the rows beside
+it, so reports are identical whatever the block size single.BLOCK_ROWS.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cluster import fit_clustered
+from .cluster import fit_clustered, fit_clustered_rows  # fit_clustered: bench/tracing.py wraps it here
 from .core import (
     DEFAULT_CANDIDATES,
     ClusteredDataset,
@@ -39,8 +40,8 @@ from .core import (
     mm_mean,
     wald_z,
 )
-from .exceptions import InsufficientSuccesses, MMHetError
-from .single import FitConfig, fit_rows, fit_single  # fit_single: bench/tracing.py wraps it here
+from .exceptions import InsufficientSuccesses
+from .single import fit_rows, fit_single  # fit_single: bench/tracing.py wraps it here
 
 SINGLE_STREAM = 1
 CLUSTER_STREAM = 2
@@ -131,6 +132,8 @@ class ClusterScenario:
             raise ValueError("reps_per_level must be positive")
         if self.tau < 0 or self.gamma_true <= 0:
             raise ValueError("tau must be >= 0 and gamma_true > 0")
+        if self.replications < 1:
+            raise ValueError("replications must be positive")
 
     @property
     def label(self) -> str:
@@ -300,7 +303,7 @@ class _CellFits:
 
     A replicate is ok when its fit raised no MMHetError, converged (for the
     clustered fit) and has finite standard errors; the arrays hold NaN where
-    it is not.
+    the fit raised.
     """
 
     ok: np.ndarray  # (R,) bool
@@ -417,26 +420,16 @@ class ClusterBenchmarkConfig:
 
 
 def _clustered_cell(
-    panels: list[ClusteredDataset], spec: VarianceSpec, alpha: float
+    s: np.ndarray, starts: np.ndarray, y: np.ndarray, spec: VarianceSpec
 ) -> _CellFits:
-    """fit_clustered on each replicate panel in turn."""
+    """fit_clustered's outcome for every replicate panel, row r of y (R, N),
+    on the shared stacked design s with clusters beginning at starts."""
     start = time.perf_counter()
-    R = len(panels)
-    theta = np.full((R, 2), np.nan)
-    se = np.full((R, 2), np.nan)
-    gamma = np.full(R, np.nan)
-    tau2 = np.full(R, np.nan)
-    conf = FitConfig(alpha=alpha)
-    for r, data in enumerate(panels):
-        try:
-            fit = fit_clustered(data, spec, conf)
-        except MMHetError:
-            continue
-        if fit.converged:
-            theta[r], se[r] = fit.params.as_array(), fit.se
-            gamma[r], tau2[r] = fit.gamma, fit.tau2
-    ok = np.isfinite(se).all(axis=1)
-    return _CellFits(ok, theta, se, gamma, time.perf_counter() - start, tau2)
+    rows = fit_clustered_rows(s, starts, y, spec)
+    ok = rows.converged & np.isfinite(rows.se).all(axis=1)
+    return _CellFits(
+        ok, rows.theta, rows.se, rows.gamma, time.perf_counter() - start, rows.tau2
+    )
 
 
 def run_clustered_benchmark(
@@ -469,7 +462,8 @@ def run_clustered_benchmark(
             rows.append(replace(row, var_rmse=_surface_rmse(fitted, v_true)))
 
         spec = config.clustered_spec
-        cell = _clustered_cell(panels, spec, config.alpha)
+        starts = np.arange(scenario.m) * s_design.size
+        cell = _clustered_cell(s_pooled, starts, y_pooled, spec)
         tau2s = cell.tau2[cell.ok]
         zhat = s_design[None, :] / (cell.theta[cell.ok, 1][:, None] + s_design[None, :])
         fitted = tau2s[:, None] * zhat * zhat + _fitted_surface(cell, spec, s_design)

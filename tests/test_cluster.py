@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from mmhet import (
+    ClusterScenario,
     ClusteredDataset,
     Dataset,
     MMParams,
     VarianceSpec,
     fit_clustered,
     fit_single,
+    generate_clustered,
     mm_mean,
 )
 from mmhet.cluster import (
     GAMMA_FLOOR_REL,
     cluster_covariance,
+    fit_clustered_rows,
     moment_update_variance,
     solve_working_cov,
 )
@@ -229,6 +232,37 @@ def test_balanced_design_converges_immediately(rng):
     pooled = fit_single(data.pooled(), POW_HALF)
     assert res.params.vmax == pytest.approx(pooled.params.vmax, rel=1e-7)
     assert res.params.km == pytest.approx(pooled.params.km, rel=1e-7)
+
+
+def test_balanced_suite_panels_stop_at_the_pooled_fit():
+    # On the clustered suite's balanced panels z = dmu/dvmax is a column of
+    # the mean Jacobian, so GLS equals the pooled weighted fit (a Kruskal
+    # 1968-type identity): the first GLS profile re-finds the pooled root and
+    # the alternation stops after one iteration.
+    for m in (3, 6):
+        sc = ClusterScenario(m=m)
+        for r in range(50):
+            data = generate_clustered(sc, r)
+            res = fit_clustered(data, POW_HALF)
+            pooled = fit_single(data.pooled(), POW_HALF)
+            assert res.converged and res.iterations == 1
+            got, want = res.params.as_array(), pooled.params.as_array()
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_fit_clustered_rows_names_fit_clustered_failures():
+    # Rows the lockstep stage cannot start go to fit_clustered, whose
+    # exception names the failure: two substrate levels cannot identify the
+    # curve, and one-observation clusters leave tau2 without a moment.
+    y = np.random.default_rng(0).normal(5.0, 1.0, (2, 12))
+    cases = (
+        (np.tile([1.0, 1.0, 5.0, 5.0], 3), np.arange(3) * 4, "DegenerateDesign"),
+        (np.geomspace(1.0, 90.0, 12), np.arange(12), "InsufficientReplication"),
+    )
+    for s, starts, name in cases:
+        rows = fit_clustered_rows(s, starts, y, POW_HALF)
+        assert rows.failure.tolist() == [name, name]
+        assert np.isnan(rows.theta).all() and not rows.converged.any()
 
 
 def test_iteration_cap_flags_nonconvergence(rng, monkeypatch):

@@ -15,7 +15,7 @@ from mmhet import (
     run_clustered_benchmark,
     run_single_benchmark,
 )
-from mmhet import simbench, single
+from mmhet import cluster, simbench, single
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientSuccesses, MMHetError
 from mmhet.simbench import ClusterBenchmarkConfig, compute_metrics, true_variance
@@ -116,6 +116,12 @@ def test_scenario_validation():
         ClusterScenario(tau=-1.0)
     with pytest.raises(ValueError):
         ClusterScenario(gamma_true=0.0)
+    with pytest.raises(ValueError):
+        ClusterScenario(replications=0)
+    with pytest.raises(ValueError):
+        ClusterScenario(replications=-3)
+    with pytest.raises(ValueError):
+        run_clustered_benchmark(ClusterBenchmarkConfig.default(replications=0))
 
 
 # --- metric aggregation ---------------------------------------------------------
@@ -259,7 +265,7 @@ def test_benchmark_reports_identical_across_block_sizes(monkeypatch):
             lambda: run_single_benchmark(_small_single_config(reps=reps)),
             lambda: run_clustered_benchmark(
                 ClusterBenchmarkConfig.default(
-                    replications=reps, master_seed=77, cluster_sizes=(3,)
+                    replications=reps, master_seed=77, cluster_sizes=(3, 6)
                 )
             ),
         )
@@ -397,3 +403,71 @@ def test_clustered_benchmark_correct_specification_coverage():
     pooled = report.rows[0]
     assert 0.92 <= pooled.cp_vmax <= 0.98
     assert 0.92 <= pooled.cp_km <= 0.98
+
+
+def _loop_clustered(panels, spec):
+    """Per-replicate fit_clustered outcomes, kept as the suite keeps them:
+    (ok, theta, se, gamma, tau2) with NaN where a fit raised."""
+    R = len(panels)
+    theta, se = np.full((R, 2), np.nan), np.full((R, 2), np.nan)
+    gamma, tau2 = np.full(R, np.nan), np.full(R, np.nan)
+    ok = np.zeros(R, dtype=bool)
+    for r, data in enumerate(panels):
+        try:
+            fit = cluster.fit_clustered(data, spec)
+        except MMHetError:
+            continue
+        theta[r], se[r], gamma[r], tau2[r] = fit.params.as_array(), fit.se, fit.gamma, fit.tau2
+        ok[r] = fit.converged and np.all(np.isfinite(fit.se))
+    return ok, theta, se, gamma, tau2
+
+
+# "shipped" runs the suite's default scenarios, whose replicates all finish
+# in the lockstep stage.  "fallback" brackets no row there, so every row goes
+# through fit_clustered itself.  "floor" holds the two replicates of the
+# default R=1000 suite whose gamma is pinned at its floor and whose
+# information is singular (m3 replicate 927, m6 replicate 415), each beside
+# replicate 0.  The lockstep and scalar root stages stop at roots up to
+# ~1e-14 apart, and cluster_covariance's rank-one downdate loses digits when
+# tau2 * z'Ginv z is large, which bounds the se agreement.
+_CLUSTER_CASES = {
+    "shipped-m3": (3, range(60), 1e-12),
+    "shipped-m6": (6, range(60), 1e-12),
+    "fallback": (6, range(60), 0.0),
+    "floor-m3": (3, (0, 927), 1e-12),
+    "floor-m6": (6, (0, 415), 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLUSTER_CASES))
+def test_clustered_cell_matches_fit_clustered_loop(monkeypatch, case):
+    m, replicates, rtol = _CLUSTER_CASES[case]
+    sc = ClusterScenario(m=m)
+    spec = ClusterBenchmarkConfig().clustered_spec
+    panels = [generate_clustered(sc, r) for r in replicates]
+    want = _loop_clustered(panels, spec)
+
+    calls = []
+    fit = cluster.fit_clustered
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "fit_clustered", counted)
+    if case == "fallback":
+        monkeypatch.setattr(
+            cluster, "solve_rows", lambda values, ks, evaluate: np.full(values.shape[0], np.nan)
+        )
+    s = np.tile(sc.cluster_s(), m)
+    starts = np.arange(m) * sc.cluster_s().size
+    got = simbench._clustered_cell(s, starts, np.array([p.pooled().y for p in panels]), spec)
+
+    assert len(calls) == (len(panels) if case == "fallback" else 0)
+    assert np.array_equal(got.ok, want[0])
+    if case.startswith("floor"):
+        assert got.ok.tolist() == [True, False]
+    for g, w in zip((got.theta, got.se, got.gamma, got.tau2), want[1:]):
+        g, w = g[got.ok], w[got.ok]
+        scale = np.maximum(np.maximum(np.abs(g), np.abs(w)), 1.0)
+        assert np.max(np.abs(g - w) / scale) <= rtol
