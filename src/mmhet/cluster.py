@@ -535,7 +535,7 @@ def fit_clustered_rows(
                 lambda x, i: _cluster_score_terms(
                     x, s, yl[i], h, starts, t2[i, None], g[i, None]
                 )[0],
-            )
+            ).root
             new_vmax = np.full(live.size, np.nan)  # NaN: no bracket
             rooted = np.isfinite(new_km)
             new_vmax[rooted] = _cluster_score_terms(

@@ -56,15 +56,22 @@ class InputTable:
         return ClusteredDataset.from_labels(self.substrate, self.velocity, self.cluster)
 
     def group_panel(self) -> dict[str, Dataset]:
-        """Label -> Dataset, labels ordered by first appearance."""
+        """Label -> Dataset, labels ordered by first appearance and each
+        label's rows in file order."""
         if self.group is None:
             raise MissingColumn("no group column was ingested")
-        panel: dict[str, Dataset] = {}
-        labels = np.asarray(self.group)
-        for lab in dict.fromkeys(self.group):
-            mask = labels == lab
-            panel[lab] = Dataset(self.substrate[mask], self.velocity[mask])
-        return panel
+        # One pass: each row's label code in first-appearance order, then a
+        # stable sort, which keeps every label's rows in file order.
+        codes: dict[str, int] = {}
+        code = np.fromiter(
+            (codes.setdefault(lab, len(codes)) for lab in self.group),
+            dtype=np.intp,
+            count=len(self.group),
+        )
+        rows = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])
+        return {
+            lab: Dataset(self.substrate[at], self.velocity[at]) for lab, at in zip(codes, rows)
+        }
 
 
 def _parse_cell(raw: str, column: str, line: int) -> float:

@@ -9,8 +9,9 @@ Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4).  If
 no sign change exists, fall back to golden-section minimization of the
 squared equation on the log scale.  numpy is the only dependency.
 
-``solve_rows`` applies the same bracket policy to many equations that share
-a bracket at once (the wild bootstrap's refits over one design), refining
+``solve_rows`` applies the same bracket policy to many equations at once,
+on one shared grid (the wild bootstrap's refits over one design) or on one
+grid per row (screening, where every curve has its own bracket), refining
 every bracket in lockstep with a safeguarded Illinois step.  Rows it cannot
 bracket are left to ``solve_scalar``.
 """
@@ -59,9 +60,13 @@ def k_bracket(s: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def log_grid(k_lo: float, k_hi: float) -> np.ndarray:
-    """The sign-scan grid: GRID_POINTS geometric points from k_lo to k_hi."""
-    return np.geomspace(k_lo, k_hi, GRID_POINTS)
+def log_grid(k_lo, k_hi) -> np.ndarray:
+    """The sign-scan grid: GRID_POINTS geometric points from k_lo to k_hi.
+
+    For arrays of brackets (rows,) it is (rows, GRID_POINTS), each row
+    bit-identical to the grid of that row's bracket alone.
+    """
+    return np.geomspace(k_lo, k_hi, GRID_POINTS, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -223,41 +228,56 @@ def _golden_min_sq(
     return float(np.exp(0.5 * (a + b))), iterations
 
 
+@dataclass(frozen=True, eq=False)
+class RowRoots:
+    """solve_rows' outcome for every row."""
+
+    root: np.ndarray  # (rows,) NaN where the row is left to solve_scalar
+    steps: np.ndarray  # (rows,) lockstep refinement steps; 0 for a grid zero
+    value: np.ndarray  # (rows,) the equation's value at root
+    sign_changes: np.ndarray  # (rows,) sign changes on the grid
+
+
 def solve_rows(
     values: np.ndarray,
     ks: np.ndarray,
     evaluate_rows: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Roots of many scalar equations from their values on one grid.
+) -> RowRoots:
+    """Roots of many scalar equations from their values on a grid.
 
     ``values`` holds each equation's values on the grid ``ks`` (see
-    log_grid), one row per equation; ``evaluate_rows(x, rows)`` returns the
-    value of equation ``rows[i]`` at ``x[i]``.  Each row follows
-    solve_scalar's policy: an exact grid zero first, else the first sign
-    change scanning upward, refined here in lockstep by a safeguarded
-    Illinois step.  The result is NaN for a row with a non-finite grid
-    value, no sign change, or a non-finite value during refinement; such
-    rows are for solve_scalar.
+    log_grid), one row per equation; ``ks`` is one grid for every row, or
+    one grid per row of the same shape as ``values``.
+    ``evaluate_rows(x, rows)`` returns the value of equation ``rows[i]`` at
+    ``x[i]``.  Each row follows solve_scalar's policy: an exact grid zero
+    first, else the first sign change scanning upward, refined here in
+    lockstep by a safeguarded Illinois step.  The root is NaN for a row with
+    a non-finite grid value, no sign change, or a non-finite value during
+    refinement; such rows are for solve_scalar.
     """
+    ks = np.broadcast_to(ks, values.shape)
     finite = np.isfinite(values).all(axis=1)
     roots = np.full(values.shape[0], np.nan)
+    steps = np.zeros(values.shape[0], dtype=np.intp)
+    at_root = np.full(values.shape[0], np.nan)
 
     zero = (values == 0.0) & finite[:, None]
     has_zero = zero.any(axis=1)
-    roots[has_zero] = ks[zero.argmax(axis=1)[has_zero]]
+    roots[has_zero] = ks[has_zero, zero.argmax(axis=1)[has_zero]]
+    at_root[has_zero] = 0.0
 
     flips = (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & finite[:, None]
     rows = np.flatnonzero(flips.any(axis=1) & ~has_zero)
     j = flips[rows].argmax(axis=1)
-    roots[rows] = _illinois(
-        evaluate_rows, rows, ks[j], ks[j + 1], values[rows, j], values[rows, j + 1]
+    roots[rows], steps[rows], at_root[rows] = _illinois(
+        evaluate_rows, rows, ks[rows, j], ks[rows, j + 1], values[rows, j], values[rows, j + 1]
     )
-    return roots
+    return RowRoots(roots, steps, at_root, flips.sum(axis=1))
 
 
-def _illinois(evaluate_rows, rows, a, b, fa, fb) -> np.ndarray:
+def _illinois(evaluate_rows, rows, a, b, fa, fb):
     """Lockstep regula falsi with the Illinois modification on brackets
-    [a, b] with f(a) f(b) < 0.
+    [a, b] with f(a) f(b) < 0: (root, steps, value at root) per row.
 
     An endpoint kept twice running has its stored value halved, so the
     false-position point crosses the root.  A point closer than half the
@@ -267,7 +287,10 @@ def _illinois(evaluate_rows, rows, a, b, fa, fb) -> np.ndarray:
     to halve over the last three steps.  Each row's arithmetic depends only
     on that row, so results do not depend on which rows share the call.
     """
-    x = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    nearer_a = np.abs(fa) <= np.abs(fb)
+    x = np.where(nearer_a, a, b)
+    fx_at = np.where(nearer_a, fa, fb)
+    steps = np.zeros(rows.size, dtype=np.intp)
     kept = np.zeros(rows.size, dtype=np.int8)  # +1: a kept last step, -1: b kept
     widths = np.full((3, rows.size), np.inf)  # bracket widths 1, 2, 3 steps back
     live = np.arange(rows.size)
@@ -286,7 +309,8 @@ def _illinois(evaluate_rows, rows, a, b, fa, fb) -> np.ndarray:
         xl = np.where(bisect, al + 0.5 * width, step)
         widths[:, live] = np.vstack([width, widths[:2, live]])
         fx = evaluate_rows(xl, rows[live])
-        x[live] = xl
+        x[live], fx_at[live] = xl, fx
+        steps[live] += 1
 
         move_a = np.sign(fx) == np.sign(fal)
         kl = kept[live]
@@ -303,4 +327,4 @@ def _illinois(evaluate_rows, rows, a, b, fa, fb) -> np.ndarray:
         bad = ~np.isfinite(fx)
         a[live[bad]] = b[live[bad]] = x[live[bad]] = np.nan
     x[live] = np.nan  # still open at the iteration cap
-    return x
+    return x, steps, fx_at

@@ -22,8 +22,13 @@ with weights 1/h_i, which is what the test-suite oracles exploit.
 evaluation for all of them, a lockstep root refinement, and the plug-in
 stage per row.  It refits the rows the lockstep stage cannot bracket
 through ``fit_single``, so it returns every row's final outcome.
-``fit_single`` finishes through the same plug-in stage on one row, so each
-plug-in formula and each post-root failure rule is written once.
+Screening (``screen_models``, and ``group_fit`` over a whole panel) runs
+the same stages on rows that each carry their own design, shape and grid:
+every (curve, candidate) pair is one row, and pairs on curves of equal
+length share a block.  ``fit_single`` finishes through the same plug-in
+stage on one row and builds its result through the same helper, so each
+plug-in formula, each post-root failure rule and the intervals and
+information criteria are written once.
 """
 
 from __future__ import annotations
@@ -50,7 +55,15 @@ from .exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from .rootfind import SolverDiagnostics, k_bracket, log_grid, solve_rows, solve_scalar
+from .rootfind import (
+    GRID_POINTS,
+    RowRoots,
+    SolverDiagnostics,
+    k_bracket,
+    log_grid,
+    solve_rows,
+    solve_scalar,
+)
 
 # Condition-number cutoff above which the information matrix is treated
 # as singular.
@@ -59,10 +72,14 @@ COND_LIMIT = 1e12
 # Parameter count charged by the information criteria: vmax, km, gamma.
 N_PARAMS = 3
 
-# Rows fit_rows evaluates together: enough to amortize numpy's per-call
-# cost, few enough that the (rows, GRID_POINTS) grid arrays do not raise
-# peak memory.
+# Rows fit_rows and screening evaluate together: enough to amortize numpy's
+# per-call cost, few enough that the (rows, GRID_POINTS) grid arrays do not
+# raise peak memory.
 BLOCK_ROWS = 128
+# Float64 cells of each (rows, GRID_POINTS, n) array of a block whose rows
+# carry their own design (screening): blocks of long curves get fewer rows,
+# so the grid stage's transient memory stays near 1 MiB per array.
+BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -133,7 +150,7 @@ def _gamma_rows(s, h, y: np.ndarray, vmax: np.ndarray, km: np.ndarray) -> np.nda
     """Dispersion mean(resid^2 / h) for row-wise (vmax, km) and y (rows, n)."""
     r = y - vmax[:, None] * (s / (km[:, None] + s))
     # sum / n: the bits of mean() at a fraction of its per-call cost on one row
-    return (r * r / h).sum(axis=1) / s.size
+    return (r * r / h).sum(axis=1) / s.shape[-1]
 
 
 def _plugin_cov_rows(s, h, vmax: np.ndarray, km: np.ndarray, gamma: np.ndarray):
@@ -142,7 +159,7 @@ def _plugin_cov_rows(s, h, vmax: np.ndarray, km: np.ndarray, gamma: np.ndarray):
     d = km[:, None] + s
     g1 = s / d
     g2 = -vmax[:, None] * s / (d * d)
-    n = s.size
+    n = s.shape[-1]
     m11 = (g1 * g1 / h).sum(axis=1) / n
     m12 = (g1 * g2 / h).sum(axis=1) / n
     m22 = (g2 * g2 / h).sum(axis=1) / n
@@ -173,8 +190,9 @@ def _plugin_failure(den=1.0, vmax=1.0, gamma=0.0, ok=True) -> MMHetError | None:
 
 def _plugin_rows(s, h, y: np.ndarray, km: np.ndarray):
     """fit_single's steps after the root, for row-wise km (rows,) and y
-    (rows, n): vmax, the covariance (rows, 2, 2), the standard errors
-    (rows, 2), gamma and each row's failure (an exception, else None)."""
+    (rows, n) on a shared design s, h (n,) or per-row ones (rows, n): vmax,
+    the covariance (rows, 2, 2), the standard errors (rows, 2), gamma and
+    each row's failure (an exception, else None)."""
     vmax, den = _vmax_rows(km, s, y, h)
     with np.errstate(over="ignore", invalid="ignore"):  # _plugin_failure names such rows
         gamma = _gamma_rows(s, h, y, vmax, km)
@@ -279,6 +297,31 @@ def information_criteria(
     return _information_criteria(data.s, data.y, eval_h(spec, data.s), params, gamma)
 
 
+def _fit_result(s, y, h, spec, km, vmax, cov, se, gamma, solver, alpha) -> FitResult:
+    """fit_single's result for one curve s, y, h (n,) from its root km, one
+    row of the plug-in stage (vmax, cov, se, gamma) and its solver
+    diagnostics: the Wald intervals and the information criteria."""
+    # copies, so that a kept result does not pin the stage's row arrays
+    vmax, gamma, cov, se = float(vmax), float(gamma), cov.copy(), se.copy()
+    params = MMParams(vmax, km)
+    z = wald_z(alpha)
+    loglik, aic, bic = _information_criteria(s, y, h, params, gamma)
+    return FitResult(
+        params=params,
+        gamma=gamma,
+        cov=cov,
+        se=se,
+        ci_vmax=(vmax - z * se[0], vmax + z * se[0]),
+        ci_km=(km - z * se[1], km + z * se[1]),
+        loglik=loglik,
+        aic=aic,
+        bic=bic,
+        variance_spec=spec,
+        solver=solver,
+        alpha=alpha,
+    )
+
+
 def fit_single(
     data: Dataset, spec: VarianceSpec, conf: FitConfig | None = None
 ) -> FitResult:
@@ -297,27 +340,7 @@ def fit_single(
     vmax, cov, se, gamma, failure = _plugin_rows(s, h, y[None, :], np.array([km]))
     if failure[0] is not None:
         raise failure[0]
-    # copies, so that a kept result does not pin the stage's row arrays
-    vmax, gamma, cov, se = float(vmax[0]), float(gamma[0]), cov[0].copy(), se[0].copy()
-    params = MMParams(vmax, km)
-    z = wald_z(conf.alpha)
-    ci_vmax = (vmax - z * se[0], vmax + z * se[0])
-    ci_km = (km - z * se[1], km + z * se[1])
-    loglik, aic, bic = _information_criteria(s, y, h, params, gamma)
-    result = FitResult(
-        params=params,
-        gamma=gamma,
-        cov=cov,
-        se=se,
-        ci_vmax=ci_vmax,
-        ci_km=ci_km,
-        loglik=loglik,
-        aic=aic,
-        bic=bic,
-        variance_spec=spec,
-        solver=diag,
-        alpha=conf.alpha,
-    )
+    result = _fit_result(s, y, h, spec, km, vmax[0], cov[0], se[0], gamma[0], diag, conf.alpha)
     if not diag.converged:
         raise NonconvergedFit(
             "profile equation has no root in the bracket and the fallback "
@@ -326,6 +349,41 @@ def fit_single(
             diagnostics=diag,
         )
     return result
+
+
+def _grid_terms(ks, s, h):
+    """The y-free pieces of the profile equation on the grid ks: the weights
+    w = s / ((k + s) h) and wd = w / (k + s), and _profile_terms' sums s3 and
+    s4.  A shared design s, h (n,) on one grid ks (K,) gives (K, n) weights
+    and (K,) sums; per-row designs (rows, n) on per-row grids (rows, K) give
+    (rows, K, n) and (rows, K)."""
+    s = s[..., None, :]
+    d = ks[..., None] + s
+    w = s / (d * h[..., None, :])
+    wd = w / d
+    return w, wd, (wd * s / d).sum(axis=-1), (w * s / d).sum(axis=-1)
+
+
+def _row_take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a per-row design array (rows, n); a shared one (n,)
+    as it is."""
+    return a if a.ndim == 1 else a[rows]
+
+
+def _solve_block(ks, s, h, y: np.ndarray, grid) -> RowRoots:
+    """solve_rows for every row of y (rows, n) on a shared or per-row design
+    and grid, from the design's _grid_terms."""
+    w, wd, s3, s4 = grid
+    # The profile equation's two y-dependent sums on the grid.  einsum,
+    # unlike a BLAS matmul, gives each row the same sums whatever rows
+    # share its block.
+    sub = "rn,kn->rk" if w.ndim == 2 else "rn,rkn->rk"
+    values = np.einsum(sub, y, w) * s3 - np.einsum(sub, y, wd) * s4
+    return solve_rows(
+        values,
+        ks,
+        lambda x, idx: _profile_terms(x, _row_take(s, idx), y[idx], _row_take(h, idx))[0],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,19 +416,11 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
         return RowFits(theta, se, gamma, failure)
     h = eval_h(spec, s)
     ks = log_grid(*k_bracket(s))
-    d = ks[:, None] + s
-    w = s / (d * h)
-    wd = w / d
-    s3 = (wd * s / d).sum(axis=1)
-    s4 = (w * s / d).sum(axis=1)
+    grid = _grid_terms(ks, s, h)
     unbracketed = []
     for first in range(0, rows, BLOCK_ROWS):
         yb = y[first:first + BLOCK_ROWS]
-        # The profile equation's two y-dependent sums on the grid.  einsum,
-        # unlike a BLAS matmul, gives each row the same sums whatever rows
-        # share its block.
-        values = np.einsum("rn,kn->rk", yb, w) * s3 - np.einsum("rn,kn->rk", yb, wd) * s4
-        km = solve_rows(values, ks, lambda x, idx: _profile_terms(x, s, yb[idx], h)[0])
+        km = _solve_block(ks, s, h, yb, grid).root
         solved = np.isfinite(km)
         unbracketed.extend(first + np.flatnonzero(~solved))
         km = km[solved]
@@ -400,6 +450,105 @@ class ScreenEntry:
     rank: int | None
 
 
+def _screen_fits(
+    datasets: Sequence[Dataset], candidates: Sequence[VarianceSpec], conf: FitConfig
+) -> list[list[tuple[FitResult | None, str | None]]]:
+    """fit_single's outcome for every candidate on every dataset, as
+    (result, None) for a fit and (partial result or None, message) for a
+    failure, with NonconvergedFit's partial result kept.
+
+    Every (dataset, candidate) pair is one row of fit_rows' stages, with
+    its own design, shape and grid.  Rows on curves of equal length share a
+    block, so nothing is padded, of at most BLOCK_ROWS rows and BLOCK_CELLS
+    cells per grid array.  Rows solve_rows cannot bracket, and rows the
+    plug-in stage rejects, are refit through fit_single, so every failure
+    and its message are fit_single's own: a message quotes the plug-in
+    value, whose last digits depend on where the solver stopped.
+    """
+    out: list[list] = [[None] * len(candidates) for _ in datasets]
+    brackets: dict[int, tuple[float, float]] = {}
+    by_length: dict[int, list[tuple[int, int]]] = {}
+    for i, data in enumerate(datasets):
+        try:
+            _require_identifiable(data.s)
+        except DegenerateDesign as err:
+            out[i] = [(None, str(err))] * len(candidates)
+            continue
+        brackets[i] = k_bracket(data.s)
+        by_length.setdefault(data.n, []).extend((i, j) for j in range(len(candidates)))
+    refit = []
+    for n, pairs in by_length.items():
+        block = max(1, min(BLOCK_ROWS, BLOCK_CELLS // (GRID_POINTS * n)))
+        for first in range(0, len(pairs), block):
+            part = pairs[first:first + block]
+            s = np.stack([datasets[i].s for i, _ in part])
+            y = np.stack([datasets[i].y for i, _ in part])
+            h = np.stack([eval_h(candidates[j], datasets[i].s) for i, j in part])
+            ks = log_grid(*np.array([brackets[i] for i, _ in part]).T)
+            # rows whose values overflow come back unbracketed or rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                roots = _solve_block(ks, s, h, y, _grid_terms(ks, s, h))
+            km = roots.root
+            vmax, cov, se, gamma, failure = _plugin_rows(s, h, y, km)
+            for r, (i, j) in enumerate(part):
+                if np.isnan(km[r]) or failure[r] is not None:
+                    refit.append((i, j))
+                    continue
+                # a lockstep bracket closed to its width is a converged root
+                diag = SolverDiagnostics(
+                    bracket=brackets[i],
+                    used_root=True,
+                    iterations=int(roots.steps[r]),
+                    f_at_solution=float(roots.value[r]),
+                    converged=True,
+                    sign_changes=int(roots.sign_changes[r]),
+                )
+                out[i][j] = (
+                    _fit_result(
+                        s[r], y[r], h[r], candidates[j], float(km[r]),
+                        vmax[r], cov[r], se[r], gamma[r], diag, conf.alpha,
+                    ),
+                    None,
+                )
+    for i, j in refit:
+        try:
+            out[i][j] = (fit_single(datasets[i], candidates[j], conf), None)
+        except NonconvergedFit as err:
+            out[i][j] = (err.result, str(err))
+        except MMHetError as err:
+            out[i][j] = (None, str(err))
+    return out
+
+
+def _rank(
+    candidates: Sequence[VarianceSpec], outcomes: list[tuple[FitResult | None, str | None]]
+) -> list[ScreenEntry]:
+    """Screening entries from each candidate's (result, error): fits ranked
+    by AIC (ties: BIC, then order), then failures.  Raises
+    AllCandidatesFailed when nothing fits."""
+    fitted = [
+        (i, spec, res)
+        for i, (spec, (res, msg)) in enumerate(zip(candidates, outcomes))
+        if msg is None
+    ]
+    failed = [
+        (spec, res, msg) for spec, (res, msg) in zip(candidates, outcomes) if msg is not None
+    ]
+    if not fitted:
+        raise AllCandidatesFailed(
+            "; ".join(f"{spec.label()}: {msg}" for spec, _, msg in failed)
+        )
+    fitted.sort(key=lambda item: (item[2].aic, item[2].bic, item[0]))
+    entries = [
+        ScreenEntry(spec=spec, result=res, error=None, rank=rank)
+        for rank, (_, spec, res) in enumerate(fitted, start=1)
+    ]
+    entries.extend(
+        ScreenEntry(spec=spec, result=res, error=msg, rank=None) for spec, res, msg in failed
+    )
+    return entries
+
+
 def screen_models(
     data: Dataset,
     candidates: Sequence[VarianceSpec] = DEFAULT_CANDIDATES,
@@ -409,32 +558,12 @@ def screen_models(
 
     Failed candidates are reported with their error at the end of the list
     rather than dropped.  Raises AllCandidatesFailed when nothing fits.
+    The fits are group_fit's batched stage on a panel of one.
     """
     if not candidates:
         raise ValueError("need at least one candidate variance spec")
-    fitted: list[tuple[int, VarianceSpec, FitResult]] = []
-    failed: list[tuple[int, VarianceSpec, FitResult | None, str]] = []
-    for i, spec in enumerate(candidates):
-        try:
-            fitted.append((i, spec, fit_single(data, spec, conf)))
-        except NonconvergedFit as err:
-            failed.append((i, spec, err.result, str(err)))
-        except MMHetError as err:
-            failed.append((i, spec, None, str(err)))
-    if not fitted:
-        raise AllCandidatesFailed(
-            "; ".join(f"{spec.label()}: {msg}" for _, spec, _, msg in failed)
-        )
-    fitted.sort(key=lambda item: (item[2].aic, item[2].bic, item[0]))
-    entries = [
-        ScreenEntry(spec=spec, result=res, error=None, rank=rank)
-        for rank, (_, spec, res) in enumerate(fitted, start=1)
-    ]
-    entries.extend(
-        ScreenEntry(spec=spec, result=res, error=msg, rank=None)
-        for _, spec, res, msg in failed
-    )
-    return entries
+    conf = conf if conf is not None else FitConfig()
+    return _rank(candidates, _screen_fits([data], candidates, conf)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,18 +594,24 @@ def group_fit(
 ) -> GroupFitResult:
     """Screen every labeled curve independently and aggregate across labels.
 
-    A label whose screening fails entirely is isolated into label_errors;
-    the others are unaffected.  The summary averages AIC/BIC and point
+    Every (label, candidate) fit runs in one batched pass (see
+    _screen_fits), and each label's outcome is screen_models' on that label
+    alone.  A label whose screening fails entirely is isolated into
+    label_errors; the others are unaffected.  The summary averages AIC/BIC and point
     estimates per candidate over the labels where that candidate fit.
     """
     if not panel:
         raise ValueError("panel must contain at least one labeled dataset")
+    if not candidates:
+        raise ValueError("need at least one candidate variance spec")
+    conf = conf if conf is not None else FitConfig()
     per_label: dict[str, list[ScreenEntry]] = {}
     label_errors: dict[str, str] = {}
-    for label, dataset in panel.items():
+    fits = _screen_fits(list(panel.values()), candidates, conf)
+    for label, outcomes in zip(panel, fits):
         try:
-            per_label[label] = screen_models(dataset, candidates, conf)
-        except MMHetError as err:
+            per_label[label] = _rank(candidates, outcomes)
+        except AllCandidatesFailed as err:
             label_errors[label] = str(err)
             per_label[label] = []
     best_by_label = {

@@ -80,3 +80,40 @@ def cov_2x2_inverse(m):
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     det = a * d - b * c
     return np.array([[d, -b], [-c, a]]) / det
+
+
+def _gauss_jordan_inverse(a):
+    """Inverse of a square matrix by Gauss-Jordan elimination with partial
+    pivoting, in the dtype of ``a`` (numpy's linalg has no long double)."""
+    n = a.shape[0]
+    m = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(m[col:, col])))
+        m[[col, pivot]] = m[[pivot, col]]
+        m[col] /= m[col, col]
+        for row in range(n):
+            if row != col:
+                m[row] -= m[row, col] * m[col]
+    return m[:, n:]
+
+
+def long_double_cluster_covariance(clusters, vmax, km, tau2, gamma, h_of):
+    """Clustered plug-in covariance inv(sum_i D_i' V_i^{-1} D_i) in long
+    double, through a dense inverse of every V_i = tau2 z z' + gamma diag(h).
+
+    Inputs are taken exactly as given (h from ``h_of`` in float64), so the
+    result isolates the rounding of the estimator's own arithmetic.
+    """
+    ld = np.longdouble
+    vmax, km, tau2, gamma = ld(vmax), ld(km), ld(tau2), ld(gamma)
+    info = np.zeros((2, 2), dtype=ld)
+    for s in clusters:
+        h = np.asarray(h_of(s), dtype=ld)
+        s = np.asarray(s, dtype=ld)
+        z = s / (km + s)
+        d = np.stack([z, -vmax * s / ((km + s) * (km + s))], axis=1)
+        v = tau2 * np.outer(z, z) + gamma * np.diag(h)
+        info += d.T @ _gauss_jordan_inverse(v) @ d
+    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
+    inv = np.array([[info[1, 1], -info[0, 1]], [-info[1, 0], info[0, 0]]]) / det
+    return inv.astype(np.float64)

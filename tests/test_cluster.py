@@ -22,7 +22,7 @@ from mmhet.cluster import (
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
 from mmhet.single import plugin_covariance
-from oracles import dense_solve, gls_quadratic
+from oracles import dense_solve, gls_quadratic, long_double_cluster_covariance
 
 POW_HALF = VarianceSpec.power(0.5)
 CONSTANT = VarianceSpec.constant()
@@ -149,6 +149,20 @@ def test_zero_tau2_covariance_matches_single_curve(rng):
     got = cluster_covariance(data, TRUTH, 0.0, gamma, POW_HALF)
     want = plugin_covariance(pooled, TRUTH, gamma, POW_HALF)
     assert np.allclose(got, want, rtol=1e-10)
+
+
+def test_cluster_covariance_matches_long_double_oracle():
+    # A dense long-double inverse of every V_i.  At moderate tau2 * z'Ginv z
+    # the rank-one downdate keeps ~1e-15; at large values it loses digits
+    # (ROADMAP item 3), which this check would show.
+    data = generate_clustered(ClusterScenario(m=6), 0)
+    tau2, gamma = 2.0, 1.5
+    got = cluster_covariance(data, TRUTH, tau2, gamma, POW_HALF)
+    want = long_double_cluster_covariance(
+        [c.s for c in data.clusters], TRUTH.vmax, TRUTH.km, tau2, gamma,
+        lambda s: eval_h(POW_HALF, s),
+    )
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 # --- full fit ---------------------------------------------------------------------

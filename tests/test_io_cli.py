@@ -25,9 +25,10 @@ from mmhet import (
     VarianceSpec,
 )
 from mmhet.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, cli_dispatch
-from mmhet.dataio import IngestOptions
+from mmhet.dataio import IngestOptions, InputTable
 from mmhet.exceptions import EmptyAfterFiltering, MissingColumn, ParseError
 from mmhet.report import FIT_CSV_COLUMNS, METRIC_CSV_COLUMNS, fit_block, screen_blocks
+from mmhet import single
 from mmhet.simbench import DEFAULT_MASTER_SEED
 
 TRUTH = MMParams(100.0, 20.0)
@@ -110,6 +111,30 @@ def test_ingest_group_panel_order(tmp_path):
     panel = ingest_csv(path).group_panel()
     assert list(panel) == ["x", "y"]
     assert panel["x"].n == 2 and panel["y"].n == 1
+
+
+def test_group_panel_matches_label_masks():
+    # Interleaved labels, one of them a single row: each label's Dataset is
+    # the one a boolean mask over the whole column gives, bit for bit.
+    rng = np.random.default_rng(3)
+    labels = tuple(rng.choice(["b", "a", "c10", "c2"], size=400).tolist())
+    labels = labels[:57] + ("z",) + labels[57:]
+    table = InputTable(
+        substrate=rng.uniform(0.0, 50.0, len(labels)),
+        velocity=rng.normal(0.0, 10.0, len(labels)),
+        group=labels,
+        cluster=None,
+        rows_in=len(labels),
+        dropped={"sentinel": 0, "nonfinite": 0},
+    )
+    panel = table.group_panel()
+    column = np.asarray(labels)
+    assert list(panel) == list(dict.fromkeys(labels))
+    for lab, data in panel.items():
+        mask = column == lab
+        assert data.s.tobytes() == table.substrate[mask].tobytes()
+        assert data.y.tobytes() == table.velocity[mask].tobytes()
+    assert panel["z"].n == 1
 
 
 def test_ingest_missing_optional_columns(tmp_path):
@@ -404,6 +429,40 @@ def test_cli_screen_and_group(tmp_path, rng):
     doc = json.loads(out2.read_text())
     assert set(doc["panel"]["best_by_label"]) == {"g0", "g1"}
     assert doc["panel"]["summary"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
+    # Screening rows share blocks by curve length; each row's numbers come
+    # from its own values only, so the report does not depend on the block
+    # size.  Labels are interleaved in the file; the 600-point curve gets a
+    # block of its own at every size.
+    rng = np.random.default_rng(8)
+    curves = []
+    for i, n in enumerate([6] * 9 + [11] * 20 + [17] * 3 + [600]):
+        s = np.geomspace(rng.uniform(0.2, 2.0), rng.uniform(50.0, 300.0), n)
+        y = mm_mean(s, MMParams(rng.uniform(20.0, 200.0), rng.uniform(5.0, 40.0)))
+        curves.append((f"g{i}", s, y + rng.normal(0.0, 0.03, n) * y.mean()))
+    curves.append(("huge", curves[10][1], 1e155 * curves[10][2]))
+    curves.append(("flat", curves[11][1], np.full(11, 3.0)))
+    curves.append(("falling", curves[12][1], -curves[12][2]))
+    rows = [
+        f"{float(s[j])!r},{float(y[j])!r},{label}"
+        for j in range(600)
+        for label, s, y in curves
+        if j < s.size
+    ]
+    path = _write(tmp_path, "panel.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
+    reports = []
+    for block in (1, 7, 128):
+        monkeypatch.setattr(single, "BLOCK_ROWS", block)
+        out = tmp_path / f"group{block}.json"
+        argv = ["group", "--input", path, "--format", "json", "--out", str(out)]
+        assert cli_dispatch(argv) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    doc = json.loads(reports[0])
+    assert set(doc["panel"]["best_by_label"]) == {label for label, _, _ in curves[:-3]}
 
 
 def test_cli_cluster(tmp_path, rng):

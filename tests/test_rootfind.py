@@ -30,7 +30,7 @@ def _solve_rows(fs, k_lo, k_hi):
         return np.array([fs[r](k) for k, r in zip(x, rows)], dtype=np.float64)
 
     with np.errstate(invalid="ignore"):
-        return solve_rows(values, ks, evaluate_rows)
+        return solve_rows(values, ks, evaluate_rows).root
 
 
 def _rows(f, k_lo, k_hi):
@@ -111,6 +111,50 @@ def test_solve_rows_mixes_policies_per_row():
     assert roots[0] == pytest.approx(1.0, rel=1e-14)
     assert roots[1] == 0.01
     assert np.isnan(roots[2])
+
+
+# The policy fixtures above, each on its own bracket: a simple root, four
+# roots, an exact grid zero, no sign change, a NaN region, all NaN.
+_POLICY_ROWS = (
+    (np.log, 0.01, 100.0),
+    (lambda k: np.sin(np.log(k)), 1.3e-2, 1.1e3),
+    (lambda k: 0.0, 0.5, 50.0),
+    (lambda k: np.log(k / 5.0) ** 2, 0.01, 100.0),
+    (lambda k: np.log(k) if k >= 0.1 else np.nan, 0.01, 100.0),
+    (lambda k: np.nan, 0.01, 100.0),
+)
+
+
+def test_solve_rows_per_row_grids_match_each_row_alone():
+    fs, lo, hi = zip(*_POLICY_ROWS)
+    ks = log_grid(np.array(lo), np.array(hi))
+    for grid, a, b in zip(ks, lo, hi):
+        assert grid.tobytes() == log_grid(a, b).tobytes()
+    calls = np.zeros(len(fs), dtype=int)
+
+    def evaluate_rows(x, rows):
+        np.add.at(calls, rows, 1)
+        return np.array([fs[r](k) for k, r in zip(x, rows)], dtype=np.float64)
+
+    values = np.array([[f(k) for k in grid] for f, grid in zip(fs, ks)], dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        got = solve_rows(values, ks, evaluate_rows)
+        for i, f in enumerate(fs):
+            alone = solve_rows(
+                values[i:i + 1], log_grid(lo[i], hi[i]), lambda x, rows: np.array([f(x[0])])
+            )
+            for name in ("root", "steps", "value", "sign_changes"):
+                assert getattr(alone, name).tobytes() == getattr(got, name)[i:i + 1].tobytes()
+
+    assert got.root[0] == pytest.approx(1.0, rel=1e-14)
+    assert got.root[1] == pytest.approx(np.exp(-np.pi), rel=1e-12)
+    assert got.root[2] == 0.5 and got.steps[2] == 0 and got.value[2] == 0.0
+    assert np.isnan(got.root[3:]).all()
+    assert got.sign_changes[:4].tolist() == [1, 4, 0, 0]
+    # one lockstep step is one evaluation, and the value is the equation's at the root
+    assert (got.steps == calls).all()
+    for i in (0, 1):
+        assert got.value[i] == fs[i](got.root[i])
 
 
 def test_k_bracket_defaults():

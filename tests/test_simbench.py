@@ -18,6 +18,7 @@ from mmhet import (
 from mmhet import cluster, simbench, single
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientSuccesses, MMHetError
+from mmhet.rootfind import solve_rows
 from mmhet.simbench import ClusterBenchmarkConfig, compute_metrics, true_variance
 
 TRUTH = MMParams(100.0, 20.0)
@@ -313,6 +314,11 @@ def _count_fallback(monkeypatch):
     return outcomes
 
 
+def _bracket_nothing(values, ks, evaluate):
+    # solve_rows on grid values that bracket no row
+    return solve_rows(np.full_like(values, np.nan), ks, evaluate)
+
+
 # The shipped design fits every row in the batched stage.  "fallback" runs
 # the same design with solve_rows bracketing no row, so fit_rows sends every
 # row through its fit_single fallback, since suite data whose fallback rows
@@ -339,9 +345,7 @@ def test_single_benchmark_matches_fit_single_loop(monkeypatch, case):
     sc, rtol = _ORACLE_CASES[case]
     datasets = [generate_single(sc, r) for r in range(sc.replications)]
     if case == "fallback":
-        monkeypatch.setattr(
-            single, "solve_rows", lambda values, ks, evaluate: np.full(values.shape[0], np.nan)
-        )
+        monkeypatch.setattr(single, "solve_rows", _bracket_nothing)
     if case == "mixed":
         y = np.array([data.y for data in datasets])
         for spec in DEFAULT_CANDIDATES:
@@ -456,9 +460,7 @@ def test_clustered_cell_matches_fit_clustered_loop(monkeypatch, case):
 
     monkeypatch.setattr(cluster, "fit_clustered", counted)
     if case == "fallback":
-        monkeypatch.setattr(
-            cluster, "solve_rows", lambda values, ks, evaluate: np.full(values.shape[0], np.nan)
-        )
+        monkeypatch.setattr(cluster, "solve_rows", _bracket_nothing)
     s = np.tile(sc.cluster_s(), m)
     starts = np.arange(m) * sc.cluster_s().size
     got = simbench._clustered_cell(s, starts, np.array([p.pooled().y for p in panels]), spec)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,125 @@ def test_group_fit_isolates_overflowing_dispersion(rng):
 def test_group_fit_rejects_empty_panel():
     with pytest.raises(ValueError):
         group_fit({})
+    with pytest.raises(ValueError):
+        group_fit({"a": Dataset(np.array([1.0, 2.0, 4.0]), np.ones(3))}, candidates=())
+
+
+def _screen_loop(data, candidates):
+    # screen_models' contract written out: one fit_single per candidate,
+    # fits ranked by (AIC, BIC, order), failures after them.
+    fitted, failed = [], []
+    for i, spec in enumerate(candidates):
+        try:
+            fitted.append((i, spec, fit_single(data, spec)))
+        except NonconvergedFit as err:
+            failed.append((spec, err.result, str(err)))
+        except MMHetError as err:
+            failed.append((spec, None, str(err)))
+    if not fitted:
+        raise AllCandidatesFailed(
+            "; ".join(f"{spec.label()}: {msg}" for spec, _, msg in failed)
+        )
+    fitted.sort(key=lambda item: (item[2].aic, item[2].bic, item[0]))
+    ranked = [(spec, res, None, rank) for rank, (_, spec, res) in enumerate(fitted, start=1)]
+    return ranked + [(spec, res, msg, None) for spec, res, msg in failed]
+
+
+def _fit_numbers(res):
+    return np.array([
+        *res.params.as_array(), *res.se, *res.cov.ravel(), res.gamma, res.loglik,
+        res.aic, res.bic, *res.ci_vmax, *res.ci_km, res.solver.f_at_solution,
+    ])
+
+
+def _mixed_panel():
+    # Curves of lengths 6, 9, 14 and 30, so blocks hold several curves and
+    # one curve alone, plus one label for each way a screening row fails:
+    # too few levels (DegenerateDesign before any solve), a 1e155 scale
+    # (gamma overflows after the batched root), a flat curve (no sign
+    # change, golden fallback, NonconvergedFit for every candidate), a
+    # falling curve (a root with vmax < 0, whose message quotes vmax) and a
+    # non-monotone curve (one fit, three NonconvergedFit partial results).
+    rng = np.random.default_rng(11)
+    panel = {}
+    for i, n in enumerate((6, 9, 9, 9, 14, 14, 30, 9, 6)):
+        s = np.geomspace(rng.uniform(0.2, 2.0), rng.uniform(50.0, 300.0), n)
+        spec = DEFAULT_CANDIDATES[i % 4]
+        y = mm_mean(s, MMParams(rng.uniform(20.0, 200.0), rng.uniform(5.0, 40.0)))
+        noise = rng.standard_normal(n) * np.sqrt(0.01 * y.mean() * eval_h(spec, s))
+        panel[f"c{i}"] = Dataset(s, y + noise)
+    panel["degenerate"] = Dataset(np.array([1.0, 1.0, 2.0, 2.0]), np.arange(4.0))
+    panel["huge"] = Dataset(panel["c1"].s, 1e155 * panel["c1"].y)
+    panel["flat"] = Dataset(np.geomspace(1.0, 32.0, 6), np.full(6, 3.0))
+    panel["falling"] = Dataset(panel["c2"].s, -panel["c2"].y)
+    panel["nonmonotone"] = Dataset(
+        s=np.array([0.5, 1.255943, 3.154787, 7.924466, 19.905359, 50.0]),
+        y=np.array([12.47505, 3.10999, 6.022706, 13.115479, 11.591095, 21.304235]),
+    )
+    return panel
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_group_fit_matches_fit_single_loop(monkeypatch):
+    panel = _mixed_panel()
+    handed = []
+    fit = single.fit_single
+
+    def counted(data, spec, *args, **kwargs):
+        handed.append(spec)
+        return fit(data, spec, *args, **kwargs)
+
+    monkeypatch.setattr(single, "fit_single", counted)
+    out = group_fit(panel)
+    monkeypatch.undo()
+    # fit_single refits only the rows the batched stage cannot finish: the
+    # flat, falling and huge labels and the non-monotone curve's three
+    # unbracketed candidates
+    assert len(handed) == 3 * len(DEFAULT_CANDIDATES) + 3
+
+    want_errors = {}
+    for label, data in panel.items():
+        try:
+            want = _screen_loop(data, DEFAULT_CANDIDATES)
+        except AllCandidatesFailed as err:
+            want_errors[label] = str(err)
+            want = []
+        got = out.per_label[label]
+        assert [(e.spec, e.error, e.rank) for e in got] == [(w[0], w[2], w[3]) for w in want]
+        for entry, (_, res, _, _) in zip(got, want):
+            assert (entry.result is None) == (res is None)
+            if res is None:
+                continue
+            a, b = entry.result.solver, res.solver
+            assert (a.bracket, a.used_root, a.converged, a.sign_changes) == (
+                b.bracket, b.used_root, b.converged, b.sign_changes
+            )
+            assert (entry.result.variance_spec, entry.result.alpha) == (res.variance_spec, res.alpha)
+            x, y = _fit_numbers(entry.result), _fit_numbers(res)
+            assert np.max(np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)) <= 1e-12
+    assert out.label_errors == want_errors
+    assert set(want_errors) == {"degenerate", "huge", "flat", "falling"}
+    assert "plug-in vmax = -" in want_errors["falling"]
+    assert out.best_by_label == {
+        label: entries[0].spec.label() for label, entries in out.per_label.items() if entries
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_models_is_group_fit_of_one():
+    panel = _mixed_panel()
+    out = group_fit(panel)
+    for label, data in panel.items():
+        if label in out.label_errors:
+            with pytest.raises(AllCandidatesFailed, match="^" + re.escape(out.label_errors[label]) + "$"):
+                screen_models(data)
+            continue
+        alone = screen_models(data)
+        assert [(e.spec, e.error, e.rank) for e in alone] == [
+            (e.spec, e.error, e.rank) for e in out.per_label[label]
+        ]
+        for a, b in zip(alone, out.per_label[label]):
+            assert _fit_numbers(a.result).tobytes() == _fit_numbers(b.result).tobytes()
 
 
 # --- batched rows ---------------------------------------------------------------
