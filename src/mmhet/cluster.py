@@ -17,9 +17,9 @@ products, and the two blocks are alternated to a fixed point.
 
 ``fit_clustered_rows`` runs the same alternation for many panels that share
 one stacked design and cluster layout (the clustered Monte Carlo suite's
-replicates): a batched pooled start, a per-cluster grid scan of the score
-for all rows, the lockstep root stage, and row-wise moments, damping and
-covariance.  Rows it cannot carry to convergence go back to
+replicates): from the caller's pooled fits, a per-cluster grid scan of the
+score for all rows, the lockstep root stage, and row-wise moments, damping
+and covariance.  Rows it cannot carry to convergence go back to
 ``fit_clustered`` one by one, so it returns every row's final outcome.
 """
 
@@ -49,7 +49,7 @@ from .exceptions import (
     SingularInformation,
 )
 from .rootfind import SolverDiagnostics, k_bracket, log_grid, solve_rows, solve_scalar
-from .single import COND_LIMIT, FitConfig, fit_rows, fit_single, sym2_inverse
+from .single import COND_LIMIT, FitConfig, fit_single, sym2_inverse
 
 # Relative floor for the moment-matched gamma, scaled by the pooled
 # response variance.
@@ -486,13 +486,19 @@ def _panel(s, starts, y) -> ClusteredDataset:
 
 
 def fit_clustered_rows(
-    s: np.ndarray, starts: np.ndarray, y: np.ndarray, spec: VarianceSpec
+    s: np.ndarray,
+    starts: np.ndarray,
+    y: np.ndarray,
+    spec: VarianceSpec,
+    pooled: np.ndarray,
 ) -> ClusterRowFits:
     """fit_clustered's estimates, standard errors, moments and failures for
     every row of y (rows, N), each row one panel on the stacked design s
     whose clusters begin at the indices ``starts``.
 
-    The pooled starts come from one fit_rows call.  Rows then alternate in
+    ``pooled`` (rows, 2) holds each row's pooled (vmax, km) fit under spec,
+    NaN where it failed, as single.fit_rows(s, y, spec).theta returns them;
+    fit_clustered starts from the same fit.  Rows then alternate in
     lockstep, BLOCK_ROWS at a time: a grid scan and solve_rows for the km
     roots, the moment update, the damping rule and the change test, with
     converged rows dropping out.  Rows without a pooled start, a bracket, a
@@ -509,7 +515,7 @@ def fit_clustered_rows(
     converged = np.zeros(rows, dtype=bool)
     failure = np.full(rows, None, dtype=object)
 
-    start = fit_rows(s, y, spec).theta
+    start = np.asarray(pooled, dtype=np.float64)
     started = np.isfinite(start).all(axis=1)
     fallback = list(np.flatnonzero(~started))
     h = eval_h(spec, s)

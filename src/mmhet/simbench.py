@@ -11,19 +11,28 @@ per level, a normal random shift on vmax per cluster, and sqrt(s)-shaped
 within-cluster noise.  Pooled fits ignore the clustering on purpose.
 
 Replicate r of a scenario draws from a stream keyed by (master_seed,
-stream tag, r).  Every replicate of a scenario shares one design, so each
-(scenario, method) cell stacks its replicates' responses and fits them
-with one call: single.fit_rows for the single-curve and pooled fits, which
-refits the replicates its batched root stage cannot bracket through
-fit_single, and cluster.fit_clustered_rows for the clustered fit, which
-hands the replicates its lockstep alternation cannot finish to
-fit_clustered.  Each row's arithmetic is independent of the rows beside
-it, so reports are identical whatever the block size single.BLOCK_ROWS.
+stream tag, r): a single curve draws its n standard normals, a clustered
+panel its m vmax shifts and then its m clusters' noise in cluster order.
+Every replicate of a scenario shares one design, so a suite draws each
+replicate from its own stream straight into one row of a response array,
+(R, n) or (R, m, N), and forms the responses with one broadcast
+expression.  generate_single and generate_clustered return one row of the
+same arrays as a Dataset or ClusteredDataset.
+
+Each (scenario, method) cell fits all its replicates with one call:
+single.fit_rows for the single-curve and pooled fits, which refits the
+replicates its batched root stage cannot bracket through fit_single, and
+cluster.fit_clustered_rows for the clustered fit, which starts from the
+pooled cell's fits under its spec and hands the replicates its lockstep
+alternation cannot finish to fit_clustered.  Each row's arithmetic is
+independent of the rows beside it, so reports are identical whatever the
+block size single.BLOCK_ROWS.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -104,13 +113,19 @@ class SingleScenario:
         return np.linspace(self.s_min, self.s_max, self.n)
 
 
+def _single_responses(scenario: SingleScenario, replicates: Sequence[int]) -> np.ndarray:
+    """Responses (len(replicates), n) on the scenario grid: row i is
+    replicate replicates[i], drawn from its own stream."""
+    s = scenario.grid()
+    z = np.empty((len(replicates), s.size))
+    for r, row in zip(replicates, z):
+        _stream(scenario.master_seed, SINGLE_STREAM, r).standard_normal(out=row)
+    return mm_mean(s, scenario.truth) + np.sqrt(true_variance(scenario.shape, s)) * z
+
+
 def generate_single(scenario: SingleScenario, replicate_index: int) -> Dataset:
     """Replicate dataset from the scenario's per-replicate stream."""
-    s = scenario.grid()
-    rng = _stream(scenario.master_seed, SINGLE_STREAM, replicate_index)
-    z = rng.standard_normal(s.size)
-    y = mm_mean(s, scenario.truth) + np.sqrt(true_variance(scenario.shape, s)) * z
-    return Dataset(s, y)
+    return Dataset(scenario.grid(), _single_responses(scenario, (replicate_index,))[0])
 
 
 @dataclass(frozen=True)
@@ -149,18 +164,27 @@ class ClusterScenario:
         return self.tau**2 * z * z + self.gamma_true * eval_h(self.h_true, arr)
 
 
+def _cluster_responses(scenario: ClusterScenario, replicates: Sequence[int]) -> np.ndarray:
+    """Responses (len(replicates), m, N) on the cluster design: panel i is
+    replicate replicates[i], whose stream gives the m vmax shifts and then
+    the clusters' noise in cluster order."""
+    s = scenario.cluster_s()
+    shifts = np.empty((len(replicates), scenario.m))
+    z = np.empty((len(replicates), scenario.m, s.size))
+    for r, shift, panel in zip(replicates, shifts, z):
+        rng = _stream(scenario.master_seed, CLUSTER_STREAM, r)
+        shift[:] = rng.normal(0.0, scenario.tau, size=scenario.m)
+        rng.standard_normal(out=panel)
+    noise_sd = np.sqrt(scenario.gamma_true * eval_h(scenario.h_true, s))
+    frac = s / (scenario.truth.km + s)
+    return (scenario.truth.vmax + shifts[:, :, None]) * frac + noise_sd * z
+
+
 def generate_clustered(scenario: ClusterScenario, replicate_index: int) -> ClusteredDataset:
     """Replicate panel: one vmax shift per cluster, sqrt(s)-shaped noise."""
-    rng = _stream(scenario.master_seed, CLUSTER_STREAM, replicate_index)
     s = scenario.cluster_s()
-    noise_sd = np.sqrt(scenario.gamma_true * eval_h(scenario.h_true, s))
-    shifts = rng.normal(0.0, scenario.tau, size=scenario.m)
-    frac = s / (scenario.truth.km + s)
-    clusters = []
-    for i in range(scenario.m):
-        z = rng.standard_normal(s.size)
-        clusters.append(Dataset(s, (scenario.truth.vmax + shifts[i]) * frac + noise_sd * z))
-    return ClusteredDataset(tuple(clusters))
+    panel = _cluster_responses(scenario, (replicate_index,))[0]
+    return ClusteredDataset(tuple(Dataset(s, y) for y in panel))
 
 
 @dataclass(frozen=True)
@@ -363,7 +387,7 @@ def run_single_benchmark(config: SingleBenchmarkConfig | None = None) -> Benchma
     for scenario in config.scenarios:
         grid = scenario.grid()
         # common random numbers: every method fits the same replicates
-        y = np.array([generate_single(scenario, r).y for r in range(scenario.replications)])
+        y = _single_responses(scenario, range(scenario.replications))
         v_true = true_variance(scenario.shape, grid)
         for spec in config.methods:
             cell = _fit_cell(grid, y, spec)
@@ -420,12 +444,13 @@ class ClusterBenchmarkConfig:
 
 
 def _clustered_cell(
-    s: np.ndarray, starts: np.ndarray, y: np.ndarray, spec: VarianceSpec
+    s: np.ndarray, starts: np.ndarray, y: np.ndarray, spec: VarianceSpec, pooled: np.ndarray
 ) -> _CellFits:
     """fit_clustered's outcome for every replicate panel, row r of y (R, N),
-    on the shared stacked design s with clusters beginning at starts."""
+    on the shared stacked design s with clusters beginning at starts, from
+    the pooled (vmax, km) fits under spec (R, 2)."""
     start = time.perf_counter()
-    rows = fit_clustered_rows(s, starts, y, spec)
+    rows = fit_clustered_rows(s, starts, y, spec, pooled)
     ok = rows.converged & np.isfinite(rows.se).all(axis=1)
     return _CellFits(
         ok, rows.theta, rows.se, rows.gamma, time.perf_counter() - start, rows.tau2
@@ -446,15 +471,17 @@ def run_clustered_benchmark(
         config = replace(config, scenarios=ClusterBenchmarkConfig.default().scenarios)
     rows: list[MetricsRow] = []
     for scenario in config.scenarios:
-        panels = [generate_clustered(scenario, r) for r in range(scenario.replications)]
         s_design = scenario.cluster_s()
         v_true = scenario.marginal_variance(s_design)
         # every pooled replicate stacks the m clusters' shared design
         s_pooled = np.tile(s_design, scenario.m)
-        y_pooled = np.array([data.pooled().y for data in panels])
+        R = scenario.replications
+        y_pooled = _cluster_responses(scenario, range(R)).reshape(R, s_pooled.size)
 
+        pooled_theta = {}
         for spec in config.pooled_specs:
             cell = _fit_cell(s_pooled, y_pooled, spec)
+            pooled_theta[spec] = cell.theta
             fitted = _fitted_surface(cell, spec, s_design)
             row = _cell_metrics(
                 scenario, f"pooled-{spec.label()}", cell, fitted, v_true, config.alpha
@@ -463,7 +490,11 @@ def run_clustered_benchmark(
 
         spec = config.clustered_spec
         starts = np.arange(scenario.m) * s_design.size
-        cell = _clustered_cell(s_pooled, starts, y_pooled, spec)
+        # the clustered fit starts from the pooled fit under its own spec
+        pooled = pooled_theta.get(spec)
+        if pooled is None:
+            pooled = fit_rows(s_pooled, y_pooled, spec).theta
+        cell = _clustered_cell(s_pooled, starts, y_pooled, spec, pooled)
         tau2s = cell.tau2[cell.ok]
         zhat = s_design[None, :] / (cell.theta[cell.ok, 1][:, None] + s_design[None, :])
         fitted = tau2s[:, None] * zhat * zhat + _fitted_surface(cell, spec, s_design)

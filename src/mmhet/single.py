@@ -197,11 +197,17 @@ def _plugin_rows(s, h, y: np.ndarray, km: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):  # _plugin_failure names such rows
         gamma = _gamma_rows(s, h, y, vmax, km)
         cov, ok = _plugin_cov_rows(s, h, vmax, km, gamma)
+        passed = (
+            np.isfinite(den) & (den > 0) & np.isfinite(vmax) & (vmax > 0)
+            & np.isfinite(gamma) & ok
+        )
     se = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
-    failure = np.empty(km.size, dtype=object)
-    failure[:] = [
-        _plugin_failure(*row)
-        for row in zip(den.tolist(), vmax.tolist(), gamma.tolist(), ok.tolist())
+    # _plugin_failure's checks run vectorized above; only failing rows
+    # build their exception
+    bad = np.flatnonzero(~passed)
+    failure = np.full(km.size, None, dtype=object)
+    failure[bad] = [
+        _plugin_failure(*row) for row in zip(*(a[bad].tolist() for a in (den, vmax, gamma, ok)))
     ]
     return vmax, cov, se, gamma, failure
 

@@ -21,7 +21,7 @@ from mmhet.cluster import (
 )
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
-from mmhet.single import plugin_covariance
+from mmhet.single import fit_rows, plugin_covariance
 from oracles import dense_solve, gls_quadratic, long_double_cluster_covariance
 
 POW_HALF = VarianceSpec.power(0.5)
@@ -274,7 +274,7 @@ def test_fit_clustered_rows_names_fit_clustered_failures():
         (np.geomspace(1.0, 90.0, 12), np.arange(12), "InsufficientReplication"),
     )
     for s, starts, name in cases:
-        rows = fit_clustered_rows(s, starts, y, POW_HALF)
+        rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
         assert rows.failure.tolist() == [name, name]
         assert np.isnan(rows.theta).all() and not rows.converged.any()
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,103 @@ def test_generate_clustered_structure_and_moments():
     assert abs(yb.var() / var_hi - 1.0) < 0.05
     got_cov = np.cov(ya, yb, ddof=0)[0, 1]
     assert abs(got_cov - cov_ab) < 0.08 * cov_ab
+
+
+def _drawn_single(sc, r):
+    """Replicate r as the seed semantics state it: n standard normals from
+    the stream keyed (master_seed, 1, r)."""
+    rng = np.random.default_rng(np.random.SeedSequence((sc.master_seed, 1, r)))
+    s = sc.grid()
+    return TRUTH.vmax * (s / (TRUTH.km + s)) + np.sqrt(true_variance(sc.shape, s)) * (
+        rng.standard_normal(s.size)
+    )
+
+
+def _drawn_panel(sc, r):
+    """Pooled replicate panel r as the seed semantics state it: from the
+    stream keyed (master_seed, 2, r), the m vmax shifts, then one vector of
+    standard normals per cluster, in cluster order."""
+    rng = np.random.default_rng(np.random.SeedSequence((sc.master_seed, 2, r)))
+    s = sc.cluster_s()
+    shifts = rng.normal(0.0, sc.tau, size=sc.m)
+    sd = np.sqrt(sc.gamma_true * eval_h(sc.h_true, s))
+    frac = s / (TRUTH.km + s)
+    return np.concatenate(
+        [(TRUTH.vmax + shift) * frac + sd * rng.standard_normal(s.size) for shift in shifts]
+    )
+
+
+def _fit_rows_inputs(monkeypatch):
+    """Wrap fit_rows wherever a module holds it; the returned list records
+    each call's (y, spec)."""
+    calls = []
+    fit = single.fit_rows
+
+    def recorded(s, y, spec):
+        calls.append((y, spec))
+        return fit(s, y, spec)
+
+    for module in (single, simbench, cluster):
+        if hasattr(module, "fit_rows"):
+            monkeypatch.setattr(module, "fit_rows", recorded)
+    return calls
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_suite_response_rows_match_generators(monkeypatch):
+    # The suites draw every replicate straight into one response array; each
+    # row must be, bit for bit, the replicate generate_single and
+    # generate_clustered return and the one its keyed stream defines.
+    calls = _fit_rows_inputs(monkeypatch)
+    sc = SingleScenario(shape="exp", n=20, replications=40, master_seed=123)
+    run_single_benchmark(
+        SingleBenchmarkConfig(scenarios=(sc,), methods=(VarianceSpec.constant(),))
+    )
+    (y, _), = calls
+    for r in (0, 1, sc.replications - 1):
+        assert _same_bits(y[r], generate_single(sc, r).y)
+        assert _same_bits(y[r], _drawn_single(sc, r))
+
+    calls.clear()
+    cfg = ClusterBenchmarkConfig.default(replications=40, master_seed=123, cluster_sizes=(3, 6))
+    run_clustered_benchmark(cfg)
+    per_scenario = len(cfg.pooled_specs)
+    for k, sc in enumerate(cfg.scenarios):
+        y, _ = calls[k * per_scenario]
+        for r in (0, 1, sc.replications - 1):
+            assert _same_bits(y[r], generate_clustered(sc, r).pooled().y)
+            assert _same_bits(y[r], _drawn_panel(sc, r))
+
+    # the R=1000 suite's floor panels at the shipped seed
+    for m, r in ((3, 927), (6, 415)):
+        sc = ClusterScenario(m=m)
+        y = simbench._cluster_responses(sc, range(sc.replications))
+        assert y.shape == (sc.replications, m, sc.cluster_s().size)
+        assert _same_bits(y[r].ravel(), generate_clustered(sc, r).pooled().y)
+        assert _same_bits(y[r].ravel(), _drawn_panel(sc, r))
+
+
+def test_clustered_suite_fits_each_pooled_panel_once(monkeypatch):
+    # The clustered cell starts from its pooled cell's fits, so a scenario
+    # makes one fit_rows call per pooled spec; a clustered spec without a
+    # pooled cell gets its starts from one more call, with the same result.
+    calls = _fit_rows_inputs(monkeypatch)
+    cfg = ClusterBenchmarkConfig.default(replications=30, master_seed=5, cluster_sizes=(3, 6))
+    shared = run_clustered_benchmark(cfg)
+    assert [spec for _, spec in calls] == list(cfg.pooled_specs) * len(cfg.scenarios)
+
+    calls.clear()
+    alone = replace(cfg, pooled_specs=(VarianceSpec.constant(),))
+    own = run_clustered_benchmark(alone)
+    assert [spec for _, spec in calls] == [VarianceSpec.constant(), cfg.clustered_spec] * 2
+    want, got = (
+        [row for row in report.canonical_dict()["rows"] if row["method"].startswith("clustered")]
+        for report in (shared, own)
+    )
+    assert len(got) == 2 and got == want
 
 
 def test_scenario_validation():
@@ -463,7 +562,8 @@ def test_clustered_cell_matches_fit_clustered_loop(monkeypatch, case):
         monkeypatch.setattr(cluster, "solve_rows", _bracket_nothing)
     s = np.tile(sc.cluster_s(), m)
     starts = np.arange(m) * sc.cluster_s().size
-    got = simbench._clustered_cell(s, starts, np.array([p.pooled().y for p in panels]), spec)
+    y = np.array([p.pooled().y for p in panels])
+    got = simbench._clustered_cell(s, starts, y, spec, single.fit_rows(s, y, spec).theta)
 
     assert len(calls) == (len(panels) if case == "fallback" else 0)
     assert np.array_equal(got.ok, want[0])

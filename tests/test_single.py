@@ -494,13 +494,14 @@ def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
     # Wild resamples of the low-signal curves with doubled Gaussian
     # multipliers: fit_rows fits some rows in its batched stage, fails some
     # there (vmax <= 0) and hands the rows it cannot bracket to fit_single.
-    # The last row overflows the dispersion.
+    # Of the last two rows, one has a vmax of ~1e-9, so its information
+    # matrix is singular, and one overflows the dispersion.
     rng = np.random.default_rng(7)
     blocks = []
     for y0 in (_Y_FLAGGED, _Y_TOOMANY):
         mu = mm_mean(_S8, fit_single(Dataset(_S8, y0), spec).params)
         blocks.append(mu + 2.0 * (y0 - mu) * rng.standard_normal((150, _S8.size)))
-    y = np.vstack(blocks + [1e155 * _Y_FLAGGED])
+    y = np.vstack(blocks + [1e-9 * _Y_FLAGGED, 1e155 * _Y_FLAGGED])
 
     handed = []
     fit = single.fit_single
@@ -532,6 +533,7 @@ def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
 
     batched = np.array([yi.tobytes() not in handed for yi in y])
     assert (~batched).any()
-    assert (batched[:-1] & failed[:-1]).any()
+    assert (batched[:-2] & failed[:-2]).any()
     assert (batched & ~failed).any()
+    assert batched[-2] and reasons[-2] == "SingularInformation"
     assert batched[-1] and reasons[-1] == "DegenerateDesign"
