@@ -61,6 +61,14 @@ def _checked(convert):
     return parse
 
 
+@_checked
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _candidate_list(text: str) -> tuple[VarianceSpec, ...]:
     specs = tuple(VarianceSpec.parse(tok) for tok in text.split(",") if tok.strip())
     if not specs:
@@ -102,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--multiplier", choices=["rademacher", "mammen"],
                        default="rademacher")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_nonnegative_int, default=0)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_screen = sub.add_parser("screen", help="rank candidate variance models by AIC")
@@ -128,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", choices=[s.value for s in VarianceShape],
                        default="mm")
     p_sim.add_argument("--n", type=_checked(lambda t: SingleScenario(n=int(t)).n), default=50)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--replicate", type=int, default=0)
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_sim.add_argument("--replicate", type=_nonnegative_int, default=0)
     p_sim.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -139,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--replications", default=1000,
         type=_checked(lambda t: SingleScenario(replications=int(t)).replications),
     )
-    p_bench.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p_bench.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_MASTER_SEED)
     p_bench.add_argument("--out", required=True,
                          help="output stem; writes <stem>.csv and <stem>.json")
     p_bench.add_argument("--timing", action="store_true",

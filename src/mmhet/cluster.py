@@ -49,7 +49,7 @@ from .exceptions import (
     SingularInformation,
 )
 from .rootfind import SolverDiagnostics, k_bracket, log_grid, solve_rows, solve_scalar
-from .single import COND_LIMIT, FitConfig, fit_single, sym2_inverse
+from .single import COND_LIMIT, FitConfig, distinct_levels, fit_single, sym2_inverse
 
 # Relative floor for the moment-matched gamma, scaled by the pooled
 # response variance.
@@ -77,16 +77,6 @@ class ClusterFitResult:
     boundary_tau2: bool
     variance_spec: VarianceSpec
     alpha: float
-
-
-def cluster_design(
-    cluster: Dataset, params: MMParams, spec: VarianceSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random-effect loading z, mean Jacobian D, and h values for one cluster."""
-    z = cluster.s / (params.km + cluster.s)
-    d = mm_gradient(cluster.s, params)
-    h = eval_h(spec, cluster.s)
-    return z, d, h
 
 
 def solve_working_cov(z, h, tau2: float, gamma: float, rhs):
@@ -165,7 +155,7 @@ def gls_km_profile(
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
     s, y, h, starts = _stack(data, spec)
-    if np.unique(s).size < 3:
+    if distinct_levels(s) < 3:
         raise DegenerateDesign(
             "need at least 3 distinct substrate levels across clusters"
         )
@@ -221,15 +211,6 @@ def _moment_update(
     return tau2, gamma, truncated
 
 
-def moment_update_variance(
-    data: ClusteredDataset, params: MMParams, spec: VarianceSpec
-) -> tuple[float, float]:
-    """Public moment update; the gamma floor is tied to the pooled variance."""
-    floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
-    tau2, gamma, _ = _moment_update(data, params, spec, floor)
-    return tau2, gamma
-
-
 def cluster_covariance(
     data: ClusteredDataset,
     params: MMParams,
@@ -240,7 +221,9 @@ def cluster_covariance(
     """Plug-in covariance: inverse of sum_i D_i' Vinv_i D_i."""
     info = np.zeros((2, 2))
     for cluster in data.clusters:
-        z, d, h = cluster_design(cluster, params, spec)
+        z = cluster.s / (params.km + cluster.s)
+        d = mm_gradient(cluster.s, params)
+        h = eval_h(spec, cluster.s)
         info += d.T @ solve_working_cov(z, h, tau2, gamma, d)
     i11, i12, i22, ok = sym2_inverse(
         info[0, 0], 0.5 * (info[0, 1] + info[1, 0]), info[1, 1]

@@ -169,6 +169,21 @@ class Dataset:
         return int(self.s.size)
 
 
+def _group_by_label(s: np.ndarray, y: np.ndarray, labels) -> dict[str, Dataset]:
+    """Label -> Dataset of its rows of s and y, labels ordered by first
+    appearance and each label's rows in input order."""
+    # One pass: each row's label code in first-appearance order, then a
+    # stable sort, which keeps every label's rows in input order.
+    codes: dict[str, int] = {}
+    code = np.fromiter(
+        (codes.setdefault(lab, len(codes)) for lab in labels),
+        dtype=np.intp,
+        count=len(labels),
+    )
+    rows = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])
+    return {lab: Dataset(s[at], y[at]) for lab, at in zip(codes, rows)}
+
+
 @dataclass(frozen=True, eq=False)
 class ClusteredDataset:
     """m >= 2 curves sharing mean parameters, one random shift per cluster."""
@@ -200,15 +215,8 @@ class ClusteredDataset:
         labels = [str(v) for v in labels]
         if not (s.size == y.size == len(labels)):
             raise ValueError("s, y, labels must have equal length")
-        order: list[str] = []
-        seen: set[str] = set()
-        for lab in labels:
-            if lab not in seen:
-                seen.add(lab)
-                order.append(lab)
-        lab_arr = np.asarray(labels)
-        clusters = tuple(Dataset(s[lab_arr == lab], y[lab_arr == lab]) for lab in order)
-        return cls(clusters, tuple(order))
+        groups = _group_by_label(s, y, labels)
+        return cls(tuple(groups.values()), tuple(groups))
 
     @property
     def m(self) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ClusteredDataset, Dataset
+from .core import ClusteredDataset, Dataset, _group_by_label
 from .exceptions import EmptyAfterFiltering, IngestError, MissingColumn, ParseError
 
 SENTINEL = -9999.0
@@ -60,18 +60,7 @@ class InputTable:
         label's rows in file order."""
         if self.group is None:
             raise MissingColumn("no group column was ingested")
-        # One pass: each row's label code in first-appearance order, then a
-        # stable sort, which keeps every label's rows in file order.
-        codes: dict[str, int] = {}
-        code = np.fromiter(
-            (codes.setdefault(lab, len(codes)) for lab in self.group),
-            dtype=np.intp,
-            count=len(self.group),
-        )
-        rows = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])
-        return {
-            lab: Dataset(self.substrate[at], self.velocity[at]) for lab, at in zip(codes, rows)
-        }
+        return _group_by_label(self.substrate, self.velocity, self.group)
 
 
 def _parse_cell(raw: str, column: str, line: int) -> float:

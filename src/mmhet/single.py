@@ -126,15 +126,6 @@ def _profile_terms(ks, s, y, h):
     return t1 - t2, np.maximum(np.abs(t1), np.abs(t2))
 
 
-def profile_F(k: float, data: Dataset, spec: VarianceSpec) -> float:
-    """The scalar profile equation at k (root = half-saturation estimate)."""
-    if not (np.isfinite(k) and k > 0):
-        raise ValueError("k must be positive and finite")
-    h = eval_h(spec, data.s)
-    value, _ = _profile_terms(k, data.s, data.y, h)
-    return float(value[0])
-
-
 def _vmax_rows(km: np.ndarray, s, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in vmax for row-wise km (rows,) and y (rows, n), with the
     denominators."""
@@ -169,10 +160,10 @@ def _plugin_cov_rows(s, h, vmax: np.ndarray, km: np.ndarray, gamma: np.ndarray):
     return np.array([[scale * i11, c12], [c12, scale * i22]]).transpose(2, 0, 1), ok
 
 
-def _plugin_failure(den=1.0, vmax=1.0, gamma=0.0, ok=True) -> MMHetError | None:
+def _plugin_failure(den, vmax, gamma, ok) -> MMHetError | None:
     """The exception fit_single raises after its root for one row's plug-in
     values (Python scalars), else None.  The checks run in fit_single's
-    order; a value not given passes its check."""
+    order."""
     if not (math.isfinite(den) and den > 0):
         return DegenerateDesign(
             f"vmax plug-in denominator is {den!r}; design cannot identify vmax"
@@ -212,20 +203,18 @@ def _plugin_rows(s, h, y: np.ndarray, km: np.ndarray):
     return vmax, cov, se, gamma, failure
 
 
-def vmax_plugin(km: float, data: Dataset, spec: VarianceSpec) -> float:
-    """Closed-form maximal velocity given the half-saturation constant."""
-    if not (np.isfinite(km) and km > 0):
-        raise ValueError("km must be positive and finite")
-    h = eval_h(spec, data.s)
-    vmax, den = _vmax_rows(np.array([km]), data.s, data.y[None, :], h)
-    failure = _plugin_failure(den=float(den[0]))
-    if failure is not None:
-        raise failure
-    return float(vmax[0])
+def distinct_levels(s: np.ndarray) -> int:
+    """The number of distinct values of a nonempty s, as numpy's unique
+    counts them.
+
+    unique imports numpy.ma lazily on its first call; sorting does not, so
+    no fit runs a module import partway through.
+    """
+    return int(np.count_nonzero(np.diff(np.sort(s)))) + 1
 
 
 def _require_identifiable(s: np.ndarray) -> None:
-    if s.size < 3 or np.unique(s).size < 3:
+    if s.size < 3 or distinct_levels(s) < 3:
         raise DegenerateDesign(
             "need at least 3 observations over 3 distinct substrate levels"
         )
@@ -233,19 +222,6 @@ def _require_identifiable(s: np.ndarray) -> None:
 
 def _solve_km(s, y, h) -> tuple[float, SolverDiagnostics]:
     return solve_scalar(lambda ks: _profile_terms(ks, s, y, h), *k_bracket(s))
-
-
-def solve_km(data: Dataset, spec: VarianceSpec) -> tuple[float, SolverDiagnostics]:
-    """Root of the profile equation, with bracket/fallback diagnostics."""
-    _require_identifiable(data.s)
-    return _solve_km(data.s, data.y, eval_h(spec, data.s))
-
-
-def gamma_hat(data: Dataset, params: MMParams, spec: VarianceSpec) -> float:
-    """Dispersion estimate: mean of squared residuals over h."""
-    h = eval_h(spec, data.s)
-    vmax, km = np.array([params.vmax]), np.array([params.km])
-    return float(_gamma_rows(data.s, h, data.y[None, :], vmax, km)[0])
 
 
 def sym2_inverse(a, b, d):
@@ -263,22 +239,6 @@ def sym2_inverse(a, b, d):
         return d / det, -b / det, a / det, ok
 
 
-def plugin_covariance(
-    data: Dataset, params: MMParams, gamma: float, spec: VarianceSpec
-) -> np.ndarray:
-    """(gamma / n) * Minv with M = mean of g g^T / h over observations."""
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError("gamma must be finite and nonnegative")
-    h = eval_h(spec, data.s)
-    cov, ok = _plugin_cov_rows(
-        data.s, h, np.array([params.vmax]), np.array([params.km]), gamma
-    )
-    failure = _plugin_failure(ok=bool(ok[0]))
-    if failure is not None:
-        raise failure
-    return cov[0]
-
-
 def _information_criteria(s, y, h, params: MMParams, gamma: float):
     r = y - mm_mean(s, params)
     n = s.size
@@ -294,13 +254,6 @@ def _information_criteria(s, y, h, params: MMParams, gamma: float):
     aic = -2.0 * loglik + 2.0 * N_PARAMS
     bic = -2.0 * loglik + N_PARAMS * np.log(n)
     return float(loglik), float(aic), float(bic)
-
-
-def information_criteria(
-    data: Dataset, params: MMParams, gamma: float, spec: VarianceSpec
-) -> tuple[float, float, float]:
-    """Gaussian log-likelihood with variance gamma*h, and AIC/BIC at p = 3."""
-    return _information_criteria(data.s, data.y, eval_h(spec, data.s), params, gamma)
 
 
 def _fit_result(s, y, h, spec, km, vmax, cov, se, gamma, solver, alpha) -> FitResult:

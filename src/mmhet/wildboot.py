@@ -88,6 +88,29 @@ def _replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, BOOT_STREAM, index)))
 
 
+def _linear_quantiles(x: np.ndarray, probs) -> np.ndarray:
+    """numpy's quantile(x, probs, axis=0, method="linear") for a nonempty x
+    (n, k), as (len(probs), k).
+
+    quantile imports numpy.ma lazily on its first call; sorting does not,
+    so no bootstrap runs a module import partway through.  The rule is
+    numpy's: with v = (n - 1) p and t its fractional part, interpolate
+    between the order statistics on either side of v, from the lower one
+    when t < 0.5 and from the upper one otherwise.  The result is bit for
+    bit numpy's, except that the sign of a zero may differ where x holds
+    both 0.0 and -0.0; pivots never hold -0.0.
+    """
+    x = np.sort(x, axis=0)
+    n = x.shape[0]
+    v = (n - 1) * np.asarray(probs, dtype=np.float64)
+    i = np.floor(v).astype(np.intp)
+    t = (v - i)[:, None]
+    a = x[i]
+    b = x[np.minimum(i + 1, n - 1)]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1.0 - t), a + d * t)
+
+
 def replicate_pivots(
     data: Dataset, fit: FitResult, conf: BootstrapConfig
 ) -> tuple[np.ndarray, list[str | None]]:
@@ -136,10 +159,8 @@ def wild_bootstrap_ci(
         )
 
     alpha = 1.0 - conf.level
-    q = np.quantile(
-        pivots, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear"
-    )  # shape (2 quantiles, 2 params)
-    t_quantiles = q.T.copy()
+    q = _linear_quantiles(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
+    t_quantiles = q.T.copy()  # rows (vmax, km), columns (lower, upper)
     ci = [
         (theta[j] - t_quantiles[j, 1] * fit.se[j], theta[j] - t_quantiles[j, 0] * fit.se[j])
         for j in range(2)

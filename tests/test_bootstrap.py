@@ -237,6 +237,25 @@ def test_excessive_failures_raise():
     assert sum(r is not None for r in got) > 0.20 * 199
 
 
+def test_linear_quantiles_match_numpy():
+    # One row, all-tied columns, ties, B = 999 and extreme levels: equal to
+    # np.quantile's linear rule bit for bit.
+    rng = np.random.default_rng(7)
+    cases = [
+        rng.standard_normal((1, 2)),
+        np.full((50, 2), 1.25),
+        np.column_stack([np.round(rng.standard_normal(300), 1), np.full(300, -3.0)]),
+        rng.standard_normal((999, 2)),
+        rng.standard_t(3, (998, 2)),
+    ]
+    for x in cases:
+        for alpha in (1e-4, 0.01, 0.05, 0.1, 0.5, 0.999):
+            probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+            got = wildboot._linear_quantiles(x, probs)
+            want = np.quantile(x, probs, axis=0, method="linear")
+            assert got.tobytes() == want.tobytes()
+
+
 # --- config validation ----------------------------------------------------------
 
 

@@ -14,14 +14,14 @@ from mmhet import (
 )
 from mmhet.cluster import (
     GAMMA_FLOOR_REL,
+    _moment_update,
     cluster_covariance,
     fit_clustered_rows,
-    moment_update_variance,
     solve_working_cov,
 )
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
-from mmhet.single import fit_rows, plugin_covariance
+from mmhet.single import _plugin_cov_rows, fit_rows
 from oracles import dense_solve, gls_quadratic, long_double_cluster_covariance
 
 POW_HALF = VarianceSpec.power(0.5)
@@ -100,9 +100,9 @@ def test_moment_update_recovers_planted_shift():
         Dataset(s=s, y=mu + b * z) for b in (3.0, -3.0, 3.0, -3.0)
     )
     data = ClusteredDataset(clusters=clusters)
-    tau2, gamma = moment_update_variance(data, TRUTH, CONSTANT)
-    assert tau2 == pytest.approx(9.0, rel=1e-12)
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    tau2, gamma, _ = _moment_update(data, TRUTH, CONSTANT, floor)
+    assert tau2 == pytest.approx(9.0, rel=1e-12)
     assert gamma == floor
 
 
@@ -115,8 +115,9 @@ def test_moment_update_truncates_negative_tau2():
     data = ClusteredDataset(
         clusters=(Dataset(s=s, y=mu + e), Dataset(s=s, y=mu + e))
     )
-    tau2, gamma = moment_update_variance(data, TRUTH, CONSTANT)
-    assert tau2 == 0.0
+    floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    tau2, gamma, truncated = _moment_update(data, TRUTH, CONSTANT, floor)
+    assert tau2 == 0.0 and truncated
     assert gamma > 0.0
 
 
@@ -125,10 +126,10 @@ def test_moment_update_requires_replication():
     singles = tuple(
         Dataset(s=s * (i + 1), y=np.array([float(i + 10)])) for i in range(3)
     )
+    data = ClusteredDataset(clusters=singles)
+    floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
     with pytest.raises(InsufficientReplication):
-        moment_update_variance(
-            ClusteredDataset(clusters=singles), TRUTH, CONSTANT
-        )
+        _moment_update(data, TRUTH, CONSTANT, floor)
 
 
 # --- covariance ------------------------------------------------------------------
@@ -147,8 +148,12 @@ def test_zero_tau2_covariance_matches_single_curve(rng):
     pooled = data.pooled()
     gamma = 2.25
     got = cluster_covariance(data, TRUTH, 0.0, gamma, POW_HALF)
-    want = plugin_covariance(pooled, TRUTH, gamma, POW_HALF)
-    assert np.allclose(got, want, rtol=1e-10)
+    want, ok = _plugin_cov_rows(
+        pooled.s, eval_h(POW_HALF, pooled.s),
+        np.array([TRUTH.vmax]), np.array([TRUTH.km]), np.array([gamma]),
+    )
+    assert ok[0]
+    assert np.allclose(got, want[0], rtol=1e-10)
 
 
 def test_cluster_covariance_matches_long_double_oracle():

@@ -361,6 +361,13 @@ def test_cli_usage_errors(tmp_path):
         ["benchmark", "--suite", "single", "--replications", "0", "--out", str(tmp_path / "b")]
     ) == EXIT_USAGE
     assert cli_dispatch(["simulate", "--n", "2"]) == EXIT_USAGE
+    # negative seeds and replicate indices
+    assert cli_dispatch(fit + ["--bootstrap", "99", "--seed", "-1"]) == EXIT_USAGE
+    assert cli_dispatch(
+        ["benchmark", "--suite", "single", "--seed", "-1", "--out", str(tmp_path / "b")]
+    ) == EXIT_USAGE
+    assert cli_dispatch(["simulate", "--seed", "-1"]) == EXIT_USAGE
+    assert cli_dispatch(["simulate", "--replicate", "-1"]) == EXIT_USAGE
 
 
 def test_cli_data_errors(tmp_path):
@@ -605,5 +612,47 @@ def test_import_leaves_scipy_unloaded():
         env=env,
         capture_output=True,
         timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8")
+
+
+_NO_NUMPY_MA = """
+import sys
+from mmhet.cli import cli_dispatch
+path, out = sys.argv[1], sys.argv[2]
+io = ["--input", path, "--format", "json", "--out"]
+commands = [
+    ["fit", "--variance", "pow:0.5", "--bootstrap", "99", *io, out + "/fit.json"],
+    ["screen", *io, out + "/screen.json"],
+    ["group", *io, out + "/group.json"],
+    ["cluster", "--variance", "pow:0.5", *io, out + "/cluster.json"],
+    ["benchmark", "--suite", "single", "--replications", "5", "--out", out + "/single"],
+    ["benchmark", "--suite", "clustered", "--replications", "5", "--out", out + "/clustered"],
+]
+codes = [cli_dispatch(argv) for argv in commands]
+assert codes == [0] * len(commands), codes
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path, rng):
+    # numpy imports numpy.ma lazily, on the first np.unique or np.quantile
+    # call.  A signal handler that runs numpy code (a sampling profiler, a
+    # periodic probe) and lands inside that import sends numpy's module
+    # __getattr__ into endless recursion, which escapes into the command.
+    # So no command imports it partway through.
+    s = np.geomspace(2.0, 120.0, 12)
+    rows = ["substrate,velocity,group,cluster"]
+    for c in range(4):
+        shift = rng.normal(0.0, 3.0)
+        y = (TRUTH.vmax + shift) * s / (TRUTH.km + s) + rng.normal(0.0, 1.5, s.size)
+        rows += [f"{float(si)!r},{float(yi)!r},g{c},c{c}" for si, yi in zip(s, y)]
+    path = _write(tmp_path, "panel.csv", "\n".join(rows) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(mmhet.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA, path, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8")

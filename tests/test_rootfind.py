@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from mmhet import ClusterScenario, MMParams, SingleScenario, VarianceSpec, fit_single
-from mmhet import generate_clustered, generate_single, rootfind
-from mmhet.cluster import GAMMA_FLOOR_REL, gls_km_profile, moment_update_variance
-from mmhet.core import DEFAULT_CANDIDATES
+from mmhet import generate_clustered, generate_single, rootfind, single
+from mmhet.cluster import GAMMA_FLOOR_REL, _moment_update, gls_km_profile
+from mmhet.core import DEFAULT_CANDIDATES, eval_h
 from mmhet.exceptions import NoFiniteEvaluation
 from mmhet.rootfind import _brent, k_bracket, log_grid, solve_rows, solve_scalar
-from mmhet.single import solve_km
 
 
 def _wrap(f):
@@ -235,7 +234,8 @@ def test_brent_matches_brentq_on_ill_conditioned_profiles(brent_vs_brentq):
     sc = SingleScenario(n=8, truth=MMParams(2.0, 50.0), replications=200, master_seed=5)
     for spec in DEFAULT_CANDIDATES:
         for r in range(sc.replications):
-            solve_km(generate_single(sc, r), spec)
+            data = generate_single(sc, r)
+            single._solve_km(data.s, data.y, eval_h(spec, data.s))
     roots = np.array(brent_vs_brentq)
     assert roots.size > 500
     assert ((roots > 5000) & (roots < 12000)).any()
@@ -247,8 +247,9 @@ def test_brent_matches_brentq_on_gls_profile_at_gamma_floor(brent_vs_brentq):
     data = generate_clustered(ClusterScenario(m=6), 415)
     spec = VarianceSpec.power(0.5)
     start = fit_single(data.pooled(), spec).params
-    tau2, gamma = moment_update_variance(data, start, spec)
-    assert gamma == GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    tau2, gamma, _ = _moment_update(data, start, spec, floor)
+    assert gamma == floor
     assert tau2 > 1e3
     gls_km_profile(data, spec, tau2, gamma)
     assert len(brent_vs_brentq) == 2  # the pooled start and the GLS profile

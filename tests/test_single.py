@@ -22,17 +22,7 @@ from mmhet.exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from mmhet.single import (
-    COND_LIMIT,
-    fit_rows,
-    gamma_hat,
-    information_criteria,
-    plugin_covariance,
-    profile_F,
-    solve_km,
-    sym2_inverse,
-    vmax_plugin,
-)
+from mmhet.single import COND_LIMIT, fit_rows, sym2_inverse
 from oracles import cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
 from test_bootstrap import _S8, _Y_FLAGGED, _Y_TOOMANY
 
@@ -56,22 +46,16 @@ def test_profile_f_hand_value():
     # s=(1,2,3), y=(1,1,1), h=1, k=1.  With w_i = s_i/(1+s_i):
     #   S1 = 23/12, S4 = 181/144, S2 = 95/144, S3 = 715/1728,
     #   F  = S1*S3 - S2*S4 = -125/3456.
-    data = Dataset(s=np.array([1.0, 2.0, 3.0]), y=np.ones(3))
-    assert profile_F(1.0, data, CONSTANT) == pytest.approx(-125.0 / 3456.0, rel=1e-14)
-
-
-def test_profile_f_rejects_bad_k():
-    data = Dataset(s=np.array([1.0, 2.0, 3.0]), y=np.ones(3))
-    with pytest.raises(ValueError):
-        profile_F(0.0, data, CONSTANT)
-    with pytest.raises(ValueError):
-        profile_F(np.nan, data, CONSTANT)
+    value, _ = single._profile_terms(1.0, np.array([1.0, 2.0, 3.0]), np.ones(3), np.ones(3))
+    assert value[0] == pytest.approx(-125.0 / 3456.0, rel=1e-14)
 
 
 def test_vmax_plugin_hand_value():
     # s=(10,10), y=(4,6), km=20: w_i = 1/3, num = 10/3, den = 2/9 -> 15.
-    data = Dataset(s=np.array([10.0, 10.0]), y=np.array([4.0, 6.0]))
-    assert vmax_plugin(20.0, data, CONSTANT) == pytest.approx(15.0, rel=1e-14)
+    vmax, _ = single._vmax_rows(
+        np.array([20.0]), np.array([10.0, 10.0]), np.array([[4.0, 6.0]]), np.ones(2)
+    )
+    assert vmax[0] == pytest.approx(15.0, rel=1e-14)
 
 
 def test_profile_root_is_wnls_stationary_point(rng):
@@ -153,8 +137,9 @@ def test_negated_y_keeps_profile_root(rng):
     # F is linear in y, so y -> -y flips F's sign but not its root; the
     # fit itself must then refuse the negative plug-in vmax.
     data = _noisy(rng, CONSTANT)
-    km_pos, _ = solve_km(data, CONSTANT)
-    km_neg, _ = solve_km(Dataset(s=data.s, y=-data.y), CONSTANT)
+    h = eval_h(CONSTANT, data.s)
+    km_pos, _ = single._solve_km(data.s, data.y, h)
+    km_neg, _ = single._solve_km(data.s, -data.y, h)
     assert km_neg == km_pos
     with pytest.raises(DegenerateDesign):
         fit_single(Dataset(s=data.s, y=-data.y), CONSTANT)
@@ -164,11 +149,13 @@ def test_negated_y_keeps_profile_root(rng):
 
 
 def test_gamma_hat_direct_formula():
-    data = Dataset(s=np.array([4.0, 9.0]), y=np.array([3.0, 5.0]))
-    p = MMParams(10.0, 6.0)
-    # residuals: 3 - 4 = -1, 5 - 6 = -1; h = sqrt(s) = (2, 3)
+    s = np.array([4.0, 9.0])
+    # vmax 10, km 6: residuals 3 - 4 = -1, 5 - 6 = -1; h = sqrt(s) = (2, 3)
+    gamma = single._gamma_rows(
+        s, eval_h(POW_HALF, s), np.array([[3.0, 5.0]]), np.array([10.0]), np.array([6.0])
+    )
     expected = 0.5 * (1.0 / 2.0 + 1.0 / 3.0)
-    assert gamma_hat(data, p, POW_HALF) == pytest.approx(expected, rel=1e-14)
+    assert gamma[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_plugin_covariance_matches_direct_inverse(rng):
@@ -179,16 +166,20 @@ def test_plugin_covariance_matches_direct_inverse(rng):
     h = eval_h(POW_HALF, data.s)
     m = np.einsum("ij,ik->jk", g / h[:, None], g) / data.n
     expected = (gamma / data.n) * np.linalg.inv(m)
-    assert np.allclose(plugin_covariance(data, p, gamma, POW_HALF), expected, rtol=1e-12)
+    cov, ok = single._plugin_cov_rows(
+        data.s, h, np.array([p.vmax]), np.array([p.km]), np.array([gamma])
+    )
+    assert ok[0]
+    assert np.allclose(cov[0], expected, rtol=1e-12)
 
 
 def test_plugin_covariance_singular_design():
     # All observations at one substrate level: rank-1 information.
-    data = Dataset(s=np.full(5, 5.0), y=np.arange(5.0))
-    with pytest.raises(SingularInformation):
-        plugin_covariance(data, MMParams(10.0, 5.0), 1.0, CONSTANT)
-    with pytest.raises(ValueError):
-        plugin_covariance(data, MMParams(10.0, 5.0), -1.0, CONSTANT)
+    s = np.full(5, 5.0)
+    *_, failure = single._plugin_rows(
+        s, eval_h(CONSTANT, s), np.arange(5.0)[None, :], np.array([5.0])
+    )
+    assert isinstance(failure[0], SingularInformation)
 
 
 def test_sym2_inverse_matches_cofactor_oracle(rng):
@@ -226,13 +217,17 @@ def test_information_criteria_closed_form(rng):
 
 
 def test_ic_consistent_across_specs(rng):
+    # The Gaussian log-likelihood with variance gamma * h at the fit, under
+    # each shape: -1/2 sum[log(2 pi gamma h) + r^2 / (gamma h)], p = 3.
     data = _noisy(rng, POW_HALF)
     for spec in DEFAULT_CANDIDATES:
         res = fit_single(data, spec)
-        ll, aic, bic = information_criteria(data, res.params, res.gamma, spec)
-        assert res.loglik == ll
-        assert res.aic == aic
-        assert res.bic == bic
+        gh = res.gamma * eval_h(spec, data.s)
+        r = residuals(data, res.params)
+        ll = -0.5 * np.sum(np.log(2.0 * np.pi * gh) + r * r / gh)
+        assert res.loglik == pytest.approx(ll, rel=1e-13)
+        assert res.aic == pytest.approx(-2.0 * ll + 6.0, rel=1e-13)
+        assert res.bic == pytest.approx(-2.0 * ll + 3.0 * np.log(data.n), rel=1e-13)
 
 
 # --- intervals ----------------------------------------------------------------
@@ -267,12 +262,28 @@ def test_fit_config_rejects_bad_alpha():
 
 def test_identifiability_guards():
     with pytest.raises(DegenerateDesign):
-        solve_km(Dataset(s=np.array([1.0, 2.0]), y=np.array([1.0, 2.0])), CONSTANT)
+        fit_single(Dataset(s=np.array([1.0, 2.0]), y=np.array([1.0, 2.0])), CONSTANT)
     with pytest.raises(DegenerateDesign):
         # 4 points but only 2 distinct levels
-        solve_km(
+        fit_single(
             Dataset(s=np.array([1.0, 1.0, 2.0, 2.0]), y=np.arange(4.0)), CONSTANT
         )
+
+
+def test_distinct_levels_matches_unique(rng):
+    # Replicated levels, a single level, and 0.0 beside -0.0, which np.unique
+    # counts as one value.
+    designs = [
+        np.repeat(np.geomspace(1.0, 200.0, 8), 3),
+        rng.permutation(np.repeat([0.5, 2.0, 8.0, 8.0, 32.0], 4)),
+        np.full(6, 5.0),
+        np.array([0.0, -0.0, 1.0, -0.0, 2.0, 0.0]),
+        np.array([-0.0, -0.0, 0.0]),
+        np.array([3.0]),
+        rng.integers(0, 5, 40).astype(np.float64),
+    ]
+    for s in designs:
+        assert single.distinct_levels(s) == np.unique(s).size
 
 
 def test_flat_data_nonconverged_carries_partial_result():
