@@ -15,6 +15,12 @@ profiled to one scalar equation in km exactly like the single-curve case;
 tau2 and gamma come from moment matching on within-cluster residual
 products, and the two blocks are alternated to a fixed point.
 
+A fit builds its panel's stacked arrays, h, the per-cluster log h sums and
+the km grid once (``_PreparedPanel``).  Each iteration then solves km on
+that grid, with the score's value alone at every Brent step, and reuses the
+moment update's residuals and loadings in both working likelihoods of the
+damping rule.
+
 ``fit_clustered_rows`` runs the same alternation for many panels that share
 one stacked design and cluster layout (the clustered Monte Carlo suite's
 replicates): from the caller's pooled fits, a per-cluster grid scan of the
@@ -77,6 +83,14 @@ class ClusterFitResult:
     boundary_tau2: bool
     variance_spec: VarianceSpec
     alpha: float
+    damped_steps: int  # iterations whose moment step the DAMPING rule halved
+
+
+def _check_variance(tau2: float, gamma: float) -> None:
+    if not np.isfinite(gamma) or gamma <= 0.0:
+        raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
+    if not np.isfinite(tau2) or tau2 < 0.0:
+        raise ValueError(f"tau2 must be finite and nonnegative, got {tau2!r}")
 
 
 def solve_working_cov(z, h, tau2: float, gamma: float, rhs):
@@ -88,10 +102,7 @@ def solve_working_cov(z, h, tau2: float, gamma: float, rhs):
     z = np.asarray(z, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
-    if not np.isfinite(tau2) or tau2 < 0.0:
-        raise ValueError(f"tau2 must be finite and nonnegative, got {tau2!r}")
+    _check_variance(tau2, gamma)
     ginv = 1.0 / (gamma * h)
     w = z * ginv
     a2 = float(z @ w)
@@ -101,51 +112,97 @@ def solve_working_cov(z, h, tau2: float, gamma: float, rhs):
     return rhs * ginv[:, None] - c * np.outer(w, w @ rhs)
 
 
-def _stack(data: ClusteredDataset, spec: VarianceSpec):
+def _stack(data: ClusteredDataset):
+    """A panel's stacked design and responses, and its cluster start indices:
+    (s, starts, y)."""
     s = np.concatenate([c.s for c in data.clusters])
     y = np.concatenate([c.y for c in data.clusters])
-    h = eval_h(spec, s)
     sizes = np.array([c.n for c in data.clusters])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-    return s, y, h, starts
+    return s, starts, y
 
 
-def _cluster_score_terms(ks, s, y, h, starts, tau2, gamma):
-    """Stacked-score km component over an array of trial k values.
+@dataclass(frozen=True, eq=False)
+class _PreparedPanel:
+    """One panel as every alternation step reads it, built once per fit.
 
-    For each k the loading z(k) = s/(k+s) doubles as the vmax regressor, the
-    GLS plug-in vmax(k) is the ratio of weighted projections, and the score
-    is assembled from per-cluster rank-one pieces.  Returns (score, scale,
-    vhat) with scale the sum of absolute score contributions, used for the
-    relative tolerance.
+    s, y and h = h(s) are stacked in cluster order, cluster i beginning at
+    starts[i]; ``bounds`` holds each cluster's (start, stop), ``log_h`` each
+    cluster's sum of log h, and ``ks`` the km grid (log_grid of k_bracket).
     """
-    kk = np.atleast_1d(np.asarray(ks, dtype=np.float64))[:, None]
-    d = kk + s
+
+    s: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    starts: np.ndarray
+    bounds: tuple[tuple[int, int], ...]
+    log_h: tuple[float, ...]
+    ks: np.ndarray
+
+
+def _prepare(s, starts, y, spec: VarianceSpec) -> _PreparedPanel:
+    """The _PreparedPanel of stacked s, y (N,) with clusters beginning at
+    ``starts``.  Raises DegenerateDesign below 3 distinct substrate levels
+    and InsufficientReplication when no cluster has two observations."""
+    if distinct_levels(s) < 3:
+        raise DegenerateDesign(
+            "need at least 3 distinct substrate levels across clusters"
+        )
+    edges = np.append(starts, s.size).tolist()
+    bounds = tuple(zip(edges[:-1], edges[1:]))
+    if not any(hi - lo >= 2 for lo, hi in bounds):
+        raise InsufficientReplication(
+            "no cluster has two or more observations; tau2 is not estimable"
+        )
+    h = eval_h(spec, s)
+    log_h = np.log(h)
+    return _PreparedPanel(
+        s, y, h, starts, bounds,
+        tuple(float(log_h[lo:hi].sum()) for lo, hi in bounds),
+        log_grid(*k_bracket(s)),
+    )
+
+
+def _score_sums(k, s, y, ginv, starts, tau2):
+    """Per-cluster sums of the stacked score's km component at one k, at
+    each point of a grid of k values, or at k[i] for response row i.
+
+    For each k the loading z(k) = s/(k+s) doubles as the vmax regressor, and
+    the GLS plug-in vmax(k) is the ratio of weighted projections.  ginv is
+    1 / (gamma h).  Returns (vhat, a1, a2, c, q1, q2), from which _score and
+    _score_terms assemble the score out of per-cluster rank-one pieces.
+    """
+    d = np.asarray(k)[..., None] + s
     z = s / d
-    ginv = 1.0 / (gamma * h)
     uz = z * ginv
-    a1 = np.add.reduceat(uz * y, starts, axis=1)
-    a2 = np.add.reduceat(uz * z, starts, axis=1)
+    a1 = np.add.reduceat(uz * y, starts, axis=-1)
+    a2 = np.add.reduceat(uz * z, starts, axis=-1)
     c = tau2 / (1.0 + tau2 * a2)
     t = 1.0 - c * a2  # equals 1 / (1 + tau2 * z'Ginv z)
-    den = (a2 * t).sum(axis=1)
-    num = (a1 * t).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vhat = num / den
-    e = z / d  # s / (k+s)^2, the km sensitivity direction divided by -vhat
-    q1 = np.add.reduceat(e * ginv * y, starts, axis=1)
-    q2 = np.add.reduceat(e * ginv * z, starts, axis=1)
-    vh = vhat[:, None]
+    vhat = (a1 * t).sum(axis=-1) / (a2 * t).sum(axis=-1)
+    eg = z / d * ginv  # s / (k+s)^2, the km sensitivity direction over -vhat, times ginv
+    q1 = np.add.reduceat(eg * y, starts, axis=-1)
+    q2 = np.add.reduceat(eg * z, starts, axis=-1)
+    return vhat, a1, a2, c, q1, q2
+
+
+def _score(vhat, a1, a2, c, q1, q2):
+    """The stacked score's km component from _score_sums."""
+    vh = vhat[..., None]
     inner = (q1 - vh * q2) - c * q2 * (a1 - vh * a2)
-    score = -vhat * inner.sum(axis=1)
-    scale = np.abs(vhat) * (
-        np.abs(q1) + np.abs(vh) * q2 + c * q2 * (np.abs(a1) + np.abs(vh) * a2)
-    ).sum(axis=1)
-    return score, scale, vhat
+    return -vhat * inner.sum(axis=-1)
+
+
+def _score_terms(vhat, a1, a2, c, q1, q2) -> tuple[float, float]:
+    """The score at one k and its scale, the sum of absolute score
+    contributions, used for the relative tolerance."""
+    avh = np.abs(vhat)
+    scale = avh * (np.abs(q1) + avh * q2 + c * q2 * (np.abs(a1) + avh * a2)).sum(axis=-1)
+    return float(_score(vhat, a1, a2, c, q1, q2)), float(scale)
 
 
 def gls_km_profile(
-    data: ClusteredDataset, spec: VarianceSpec, tau2: float, gamma: float
+    panel: _PreparedPanel, tau2: float, gamma: float
 ) -> tuple[float, float, SolverDiagnostics]:
     """Solve the km component of the stacked GLS score at fixed (tau2, gamma).
 
@@ -154,77 +211,78 @@ def gls_km_profile(
     """
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
-    s, y, h, starts = _stack(data, spec)
-    if distinct_levels(s) < 3:
-        raise DegenerateDesign(
-            "need at least 3 distinct substrate levels across clusters"
+    s, y, starts = panel.s, panel.y, panel.starts
+    ginv = 1.0 / (gamma * panel.h)
+
+    def sums(k):
+        return _score_sums(k, s, y, ginv, starts, tau2)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        km, diag = solve_scalar(
+            lambda k: _score(*sums(k)), lambda k: _score_terms(*sums(k)), panel.ks
         )
-    km, diag = solve_scalar(
-        lambda ks: _cluster_score_terms(ks, s, y, h, starts, tau2, gamma)[:2],
-        *k_bracket(s),
-    )
-    _, _, vhat = _cluster_score_terms(km, s, y, h, starts, tau2, gamma)
-    return km, float(vhat[0]), diag
+        vhat = sums(km)[0]
+    return km, float(vhat), diag
+
+
+@dataclass(frozen=True, eq=False)
+class _Moments:
+    """_moment_update's (tau2, gamma), whether tau2 was truncated at 0, and
+    the stacked residuals r, loadings z and z*z at the mean it matched."""
+
+    tau2: float
+    gamma: float
+    truncated: bool
+    r: np.ndarray
+    z: np.ndarray
+    zz: np.ndarray
 
 
 def _moment_update(
-    data: ClusteredDataset,
-    params: MMParams,
-    spec: VarianceSpec,
-    gamma_floor: float,
-) -> tuple[float, float, bool]:
+    panel: _PreparedPanel, params: MMParams, gamma_floor: float
+) -> _Moments:
     """Moment-matched (tau2, gamma) at the current mean parameters.
 
     tau2 solves the off-diagonal residual-product moments; gamma then
-    matches the diagonal.  Returns (tau2, gamma, truncated) with truncated
-    marking a negative raw tau2 clipped to zero.
+    matches the diagonal.  A negative raw tau2 is clipped to zero and
+    flagged truncated.
     """
-    if not any(c.n >= 2 for c in data.clusters):
-        raise InsufficientReplication(
-            "no cluster has two or more observations; tau2 is not estimable"
-        )
+    s = panel.s
+    z = s / (params.km + s)
+    r = panel.y - params.vmax * z
+    rz = r * z
+    zz = z * z
+    rz2 = rz * rz
+    zz2 = zz * zz
     num = 0.0
     den = 0.0
-    diag_sum = 0.0
-    n_total = 0
-    pieces = []
-    for cluster in data.clusters:
-        r = cluster.y - mm_mean(cluster.s, params)
-        z = cluster.s / (params.km + cluster.s)
-        h = eval_h(spec, cluster.s)
-        rz = r * z
-        zz = z * z
-        num += (float(rz.sum()) ** 2 - float((rz * rz).sum())) / 2.0
-        den += (float(zz.sum()) ** 2 - float((zz * zz).sum())) / 2.0
-        pieces.append((r, zz, h))
-        n_total += cluster.n
+    for lo, hi in panel.bounds:
+        num += (float(rz[lo:hi].sum()) ** 2 - float(rz2[lo:hi].sum())) / 2.0
+        den += (float(zz[lo:hi].sum()) ** 2 - float(zz2[lo:hi].sum())) / 2.0
     if den <= 0.0:
         raise InsufficientReplication(
             "off-diagonal moment denominator vanished (no usable pairs)"
         )
     raw = num / den
-    truncated = raw < 0.0
     tau2 = max(0.0, raw)
-    for r, zz, h in pieces:
-        diag_sum += float(((r * r - tau2 * zz) / h).sum())
-    gamma = max(gamma_floor, diag_sum / n_total)
-    return tau2, gamma, truncated
+    slack = (r * r - tau2 * zz) / panel.h
+    diag_sum = 0.0
+    for lo, hi in panel.bounds:
+        diag_sum += float(slack[lo:hi].sum())
+    gamma = max(gamma_floor, diag_sum / s.size)
+    return _Moments(tau2, gamma, raw < 0.0, r, z, zz)
 
 
 def cluster_covariance(
-    data: ClusteredDataset,
-    params: MMParams,
-    tau2: float,
-    gamma: float,
-    spec: VarianceSpec,
+    panel: _PreparedPanel, params: MMParams, tau2: float, gamma: float
 ) -> np.ndarray:
     """Plug-in covariance: inverse of sum_i D_i' Vinv_i D_i."""
     info = np.zeros((2, 2))
-    for cluster in data.clusters:
-        z = cluster.s / (params.km + cluster.s)
-        d = mm_gradient(cluster.s, params)
-        h = eval_h(spec, cluster.s)
-        info += d.T @ solve_working_cov(z, h, tau2, gamma, d)
+    for lo, hi in panel.bounds:
+        s = panel.s[lo:hi]
+        z = s / (params.km + s)
+        d = mm_gradient(s, params)
+        info += d.T @ solve_working_cov(z, panel.h[lo:hi], tau2, gamma, d)
     i11, i12, i22, ok = sym2_inverse(
         info[0, 0], 0.5 * (info[0, 1] + info[1, 0]), info[1, 1]
     )
@@ -236,23 +294,29 @@ def cluster_covariance(
 
 
 def _neg2_working_loglik(
-    data: ClusteredDataset,
-    params: MMParams,
-    tau2: float,
-    gamma: float,
-    spec: VarianceSpec,
+    panel: _PreparedPanel, at: _Moments, tau2: float, gamma: float
 ) -> float:
-    """Gaussian working -2 log-likelihood up to an additive constant."""
+    """Gaussian working -2 log-likelihood up to an additive constant, at the
+    mean whose residuals and loadings ``at`` holds."""
+    _check_variance(tau2, gamma)
+    r, z = at.r, at.z
+    gh = gamma * panel.h
+    ginv = 1.0 / gh
+    w = z * ginv
+    rg = r * ginv
+    zzg = at.zz / gh
+    log_gamma = np.log(gamma)
     total = 0.0
-    for cluster in data.clusters:
-        r = cluster.y - mm_mean(cluster.s, params)
-        z = cluster.s / (params.km + cluster.s)
-        h = eval_h(spec, cluster.s)
-        quad = float(r @ solve_working_cov(z, h, tau2, gamma, r))
+    for (lo, hi), log_h in zip(panel.bounds, panel.log_h):
+        # r' Vinv r through solve_working_cov's rank-one downdate
+        wi, ri = w[lo:hi], r[lo:hi]
+        a2 = float(z[lo:hi] @ wi)
+        c = tau2 / (1.0 + tau2 * a2)
+        quad = float(ri @ (rg[lo:hi] - c * wi * float(wi @ ri)))
         logdet = (
-            cluster.n * np.log(gamma)
-            + float(np.log(h).sum())
-            + np.log1p(tau2 * float((z * z / (gamma * h)).sum()))
+            (hi - lo) * log_gamma
+            + log_h
+            + np.log1p(tau2 * float(zzg[lo:hi].sum()))
         )
         total += quad + logdet
     return total
@@ -274,8 +338,20 @@ def fit_clustered(
     same working shape.  Nonconvergence within MAX_ITER returns the last
     iterate flagged converged=False rather than raising.
     """
+    return _fit_stacked(*_stack(data), spec, conf)
+
+
+def _fit_stacked(
+    s: np.ndarray,
+    starts: np.ndarray,
+    y: np.ndarray,
+    spec: VarianceSpec,
+    conf: FitConfig | None = None,
+) -> ClusterFitResult:
+    """fit_clustered on a panel given as its stacked design s and responses
+    y (N,), its clusters beginning at the indices ``starts``."""
     conf = conf if conf is not None else FitConfig()
-    pooled = data.pooled()
+    pooled = Dataset(s, y)
     try:
         init = fit_single(pooled, spec, conf)
         params = init.params
@@ -283,28 +359,30 @@ def fit_clustered(
         if err.result is None:
             raise
         params = err.result.params
+    panel = _prepare(pooled.s, np.asarray(starts, dtype=np.intp), pooled.y, spec)
     gamma_floor = GAMMA_FLOOR_REL * float(np.var(pooled.y))
-    tau2, gamma, truncated = _moment_update(data, params, spec, gamma_floor)
+    moments = _moment_update(panel, params, gamma_floor)
+    tau2, gamma, truncated = moments.tau2, moments.gamma, moments.truncated
 
     converged = False
-    iterations = 0
+    iterations = damped = 0
     diag: SolverDiagnostics | None = None
     for iterations in range(1, MAX_ITER + 1):
-        km, vmax, diag = gls_km_profile(data, spec, tau2, gamma)
+        km, vmax, diag = gls_km_profile(panel, tau2, gamma)
         if not np.isfinite(vmax) or vmax <= 0:
             raise DegenerateDesign(
                 f"GLS plug-in vmax = {vmax!r}; data are not consistent with "
                 "a saturating curve"
             )
         new_params = MMParams(vmax, km)
-        new_tau2, new_gamma, truncated = _moment_update(
-            data, new_params, spec, gamma_floor
-        )
+        moments = _moment_update(panel, new_params, gamma_floor)
+        new_tau2, new_gamma, truncated = moments.tau2, moments.gamma, moments.truncated
         if _neg2_working_loglik(
-            data, new_params, new_tau2, new_gamma, spec
-        ) > _neg2_working_loglik(data, new_params, tau2, gamma, spec):
+            panel, moments, new_tau2, new_gamma
+        ) > _neg2_working_loglik(panel, moments, tau2, gamma):
             new_tau2 = tau2 + DAMPING * (new_tau2 - tau2)
             new_gamma = gamma + DAMPING * (new_gamma - gamma)
+            damped += 1
         change = max(
             _rel_change(params.vmax, new_params.vmax),
             _rel_change(params.km, new_params.km),
@@ -316,7 +394,7 @@ def fit_clustered(
             converged = True
             break
 
-    cov = cluster_covariance(data, params, tau2, gamma, spec)
+    cov = cluster_covariance(panel, params, tau2, gamma)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     z = wald_z(conf.alpha)
     return ClusterFitResult(
@@ -332,6 +410,7 @@ def fit_clustered(
         boundary_tau2=truncated,
         variance_spec=spec,
         alpha=conf.alpha,
+        damped_steps=damped,
     )
 
 
@@ -345,6 +424,8 @@ class ClusterRowFits:
     tau2: np.ndarray  # (rows,)
     converged: np.ndarray  # (rows,) bool, False where the fit raised
     failure: np.ndarray  # exception-class name fit_clustered raises, else None
+    iterations: np.ndarray  # (rows,) alternation iterations; 0 where the fit raised
+    fallback: np.ndarray  # (rows,) bool, True where the row went to fit_clustered
 
 
 def _rel_change_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -393,7 +474,7 @@ def _neg2_loglik_rows(s, h, starts, y, vmax, km, tau2, gamma):
 
 
 def _score_grid(ks, s, h, starts, y, tau2, gamma):
-    """_cluster_score_terms' score on the grid ks for every row of y (rows, N)
+    """The stacked score's km component on the grid ks for every row of y (rows, N)
     at row-wise tau2 and gamma, as (rows, ks.size).
 
     Written in lam = tau2 / gamma, a cluster enters through its sums of y
@@ -461,13 +542,6 @@ def _covariance_rows(s, h, starts, vmax, km, tau2, gamma):
     return np.array([[c11, c12], [c12, c22]]).transpose(2, 0, 1), ok
 
 
-def _panel(s, starts, y) -> ClusteredDataset:
-    bounds = np.append(starts, s.size)
-    return ClusteredDataset(
-        tuple(Dataset(s[a:b], y[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-    )
-
-
 def fit_clustered_rows(
     s: np.ndarray,
     starts: np.ndarray,
@@ -497,6 +571,7 @@ def fit_clustered_rows(
     tau2 = np.full(rows, np.nan)
     converged = np.zeros(rows, dtype=bool)
     failure = np.full(rows, None, dtype=object)
+    iterations = np.zeros(rows, dtype=np.intp)
 
     start = np.asarray(pooled, dtype=np.float64)
     started = np.isfinite(start).all(axis=1)
@@ -512,24 +587,21 @@ def fit_clustered_rows(
         fallback.extend(live[~valid])
         live, floor = live[valid], floor[valid]
         vmax, km, t2, g = vmax[valid], km[valid], t2[valid], g[valid]
-        for _ in range(MAX_ITER):
+        for it in range(1, MAX_ITER + 1):
             if live.size == 0:
                 break
             yl = y[live]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 values = _score_grid(ks, s, h, starts, yl, t2, g)
-            new_km = solve_rows(
-                values,
-                ks,
-                lambda x, i: _cluster_score_terms(
-                    x, s, yl[i], h, starts, t2[i, None], g[i, None]
-                )[0],
-            ).root
+
+            def sums(x, i):
+                return _score_sums(x, s, yl[i], 1.0 / (g[i, None] * h), starts, t2[i, None])
+
             new_vmax = np.full(live.size, np.nan)  # NaN: no bracket
-            rooted = np.isfinite(new_km)
-            new_vmax[rooted] = _cluster_score_terms(
-                new_km[rooted], s, yl[rooted], h, starts, t2[rooted, None], g[rooted, None]
-            )[2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new_km = solve_rows(values, ks, lambda x, i: _score(*sums(x, i))).root
+                rooted = np.flatnonzero(np.isfinite(new_km))
+                new_vmax[rooted] = sums(new_km[rooted], rooted)[0]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 new_t2, new_g, valid = _moment_rows(s, h, starts, yl, new_vmax, new_km, floor)
                 valid &= np.isfinite(new_vmax) & (new_vmax > 0)
@@ -546,6 +618,7 @@ def fit_clustered_rows(
             ])
             done = valid & (change < REL_TOL)
             at = live[done]
+            iterations[at] = it
             theta[at] = np.column_stack([new_vmax[done], new_km[done]])
             tau2[at], gamma[at] = new_t2[done], new_g[done]
             fallback.extend(live[~valid])
@@ -567,10 +640,15 @@ def fit_clustered_rows(
 
     for i in fallback:
         try:
-            one = fit_clustered(_panel(s, starts, y[i]), spec)
+            one = _fit_stacked(s, starts, y[i], spec)
         except MMHetError as err:
             failure[i] = type(err).__name__
         else:
             theta[i], se[i] = one.params.as_array(), one.se
             gamma[i], tau2[i], converged[i] = one.gamma, one.tau2, one.converged
-    return ClusterRowFits(theta, se, gamma, tau2, converged, failure)
+            iterations[i] = one.iterations
+    is_fallback = np.zeros(rows, dtype=bool)
+    is_fallback[fallback] = True
+    return ClusterRowFits(
+        theta, se, gamma, tau2, converged, failure, iterations, is_fallback
+    )

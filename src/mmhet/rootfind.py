@@ -80,23 +80,21 @@ class SolverDiagnostics:
 
 
 def solve_scalar(
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    k_lo: float,
-    k_hi: float,
+    evaluate: Callable,
+    terms: Callable[[float], tuple[float, float]],
+    ks: np.ndarray,
 ) -> tuple[float, SolverDiagnostics]:
-    """Locate a root of a scalar profile equation on [k_lo, k_hi].
+    """Locate a root of a scalar profile equation on the grid ks (log_grid),
+    whose endpoints are the bracket.
 
-    ``evaluate(ks)`` maps an array of k values to (values, scales) arrays.
-    ``scales`` carries the natural magnitude of the equation at each k, used
-    for the relative |F| convergence check.
+    ``evaluate(k)`` is the equation's value: an array over an array of k
+    values (the grid scan), one value at a float k (the Brent and golden
+    steps).  ``terms(k)`` is the (value, scale) pair at one k, with scale
+    the natural magnitude of the equation there; only the relative |F|
+    convergence test at the returned k reads it.
     """
-
-    def eval_one(k: float) -> tuple[float, float]:
-        value, scale = evaluate(k)
-        return float(value[0]), float(scale[0])
-
-    ks = log_grid(k_lo, k_hi)
-    values, _ = evaluate(ks)
+    k_lo, k_hi = float(ks[0]), float(ks[-1])
+    values = evaluate(ks)
     finite = np.isfinite(values)
     if not finite.any():
         raise NoFiniteEvaluation(
@@ -118,12 +116,15 @@ def solve_scalar(
             used_root=True, iterations=0, f_at_solution=0.0, converged=True
         )
 
+    def f(k: float) -> float:
+        return float(evaluate(k))
+
     if flips.size:
         # First bracket scanning upward from k_lo (multi-root policy).
         a = float(ks[idx[flips[0]]])
         b = float(ks[idx[flips[0] + 1]])
-        root, iterations, brent_converged = _brent(lambda k: eval_one(k)[0], a, b)
-        f_root, scale = eval_one(root)
+        root, iterations, brent_converged = _brent(f, a, b)
+        f_root, scale = terms(root)
         converged = abs(f_root) <= TOL_F_REL * scale or brent_converged
         return root, diagnostics(
             used_root=True, iterations=iterations, f_at_solution=f_root,
@@ -131,8 +132,8 @@ def solve_scalar(
         )
 
     # No sign change anywhere: golden-section minimization of F^2 in log k.
-    k, iterations = _golden_min_sq(eval_one, k_lo, k_hi, GOLDEN_TOL_REL)
-    f_at, scale = eval_one(k)
+    k, iterations = _golden_min_sq(f, k_lo, k_hi, GOLDEN_TOL_REL)
+    f_at, scale = terms(k)
     converged = bool(np.isfinite(f_at) and abs(f_at) <= TOL_F_REL * scale)
     return k, diagnostics(
         used_root=False, iterations=iterations, f_at_solution=f_at, converged=converged
@@ -194,7 +195,7 @@ def _brent(f: Callable[[float], float], a: float, b: float) -> tuple[float, int,
 
 
 def _golden_min_sq(
-    eval_one: Callable[[float], tuple[float, float]],
+    f: Callable[[float], float],
     k_lo: float,
     k_hi: float,
     tol_rel: float,
@@ -207,8 +208,8 @@ def _golden_min_sq(
     """
 
     def g(t: float) -> float:
-        f, _ = eval_one(float(np.exp(t)))
-        return f * f if np.isfinite(f) else np.inf
+        v = f(float(np.exp(t)))
+        return v * v if np.isfinite(v) else np.inf
 
     a, b = np.log(k_lo), np.log(k_hi)
     c = b - _INVPHI * (b - a)

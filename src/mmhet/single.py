@@ -107,23 +107,30 @@ class FitResult:
     alpha: float
 
 
-def _profile_terms(ks, s, y, h):
-    """Evaluate the two product terms of F_h on an array of k values.
-
-    Returns (F, scale) where scale is the larger product-term magnitude,
-    the natural yardstick for a relative |F| tolerance.
-    """
-    kk = np.atleast_1d(np.asarray(ks, dtype=np.float64))[:, None]
-    d = kk + s
+def _profile_products(k, s, y, h):
+    """The two product terms (t1, t2) of F_h = t1 - t2 at one k, at each
+    point of a grid of k values, or at k[i] on row i of per-row designs."""
+    d = np.asarray(k)[..., None] + s
     w = s / (d * h)
     wd = w / d
-    s1 = (w * y).sum(axis=1)
-    s4 = (w * s / d).sum(axis=1)
-    s2 = (wd * y).sum(axis=1)
-    s3 = (wd * s / d).sum(axis=1)
-    t1 = s1 * s3
-    t2 = s2 * s4
-    return t1 - t2, np.maximum(np.abs(t1), np.abs(t2))
+    s1 = (w * y).sum(axis=-1)
+    s4 = (w * s / d).sum(axis=-1)
+    s2 = (wd * y).sum(axis=-1)
+    s3 = (wd * s / d).sum(axis=-1)
+    return s1 * s3, s2 * s4
+
+
+def _profile_value(k, s, y, h):
+    """F_h, evaluated as _profile_products is."""
+    t1, t2 = _profile_products(k, s, y, h)
+    return t1 - t2
+
+
+def _profile_terms(k: float, s, y, h) -> tuple[float, float]:
+    """F_h at one k and its scale, the larger product-term magnitude: the
+    natural yardstick for a relative |F| tolerance."""
+    t1, t2 = _profile_products(k, s, y, h)
+    return float(t1 - t2), float(np.maximum(np.abs(t1), np.abs(t2)))
 
 
 def _vmax_rows(km: np.ndarray, s, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +228,11 @@ def _require_identifiable(s: np.ndarray) -> None:
 
 
 def _solve_km(s, y, h) -> tuple[float, SolverDiagnostics]:
-    return solve_scalar(lambda ks: _profile_terms(ks, s, y, h), *k_bracket(s))
+    return solve_scalar(
+        lambda k: _profile_value(k, s, y, h),
+        lambda k: _profile_terms(k, s, y, h),
+        log_grid(*k_bracket(s)),
+    )
 
 
 def sym2_inverse(a, b, d):
@@ -312,7 +323,7 @@ def fit_single(
 
 def _grid_terms(ks, s, h):
     """The y-free pieces of the profile equation on the grid ks: the weights
-    w = s / ((k + s) h) and wd = w / (k + s), and _profile_terms' sums s3 and
+    w = s / ((k + s) h) and wd = w / (k + s), and _profile_products' sums s3 and
     s4.  A shared design s, h (n,) on one grid ks (K,) gives (K, n) weights
     and (K,) sums; per-row designs (rows, n) on per-row grids (rows, K) give
     (rows, K, n) and (rows, K)."""
@@ -341,7 +352,7 @@ def _solve_block(ks, s, h, y: np.ndarray, grid) -> RowRoots:
     return solve_rows(
         values,
         ks,
-        lambda x, idx: _profile_terms(x, _row_take(s, idx), y[idx], _row_take(h, idx))[0],
+        lambda x, idx: _profile_value(x, _row_take(s, idx), y[idx], _row_take(h, idx)),
     )
 
 

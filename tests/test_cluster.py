@@ -12,11 +12,18 @@ from mmhet import (
     generate_clustered,
     mm_mean,
 )
+from mmhet import rootfind
 from mmhet.cluster import (
     GAMMA_FLOOR_REL,
+    MAX_ITER,
     _moment_update,
+    _prepare,
+    _score,
+    _score_sums,
+    _stack,
     cluster_covariance,
     fit_clustered_rows,
+    gls_km_profile,
     solve_working_cov,
 )
 from mmhet.core import eval_h
@@ -101,9 +108,9 @@ def test_moment_update_recovers_planted_shift():
     )
     data = ClusteredDataset(clusters=clusters)
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
-    tau2, gamma, _ = _moment_update(data, TRUTH, CONSTANT, floor)
-    assert tau2 == pytest.approx(9.0, rel=1e-12)
-    assert gamma == floor
+    moments = _moment_update(_prepare(*_stack(data), CONSTANT), TRUTH, floor)
+    assert moments.tau2 == pytest.approx(9.0, rel=1e-12)
+    assert moments.gamma == floor
 
 
 def test_moment_update_truncates_negative_tau2():
@@ -116,9 +123,9 @@ def test_moment_update_truncates_negative_tau2():
         clusters=(Dataset(s=s, y=mu + e), Dataset(s=s, y=mu + e))
     )
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
-    tau2, gamma, truncated = _moment_update(data, TRUTH, CONSTANT, floor)
-    assert tau2 == 0.0 and truncated
-    assert gamma > 0.0
+    moments = _moment_update(_prepare(*_stack(data), CONSTANT), TRUTH, floor)
+    assert moments.tau2 == 0.0 and moments.truncated
+    assert moments.gamma > 0.0
 
 
 def test_moment_update_requires_replication():
@@ -129,7 +136,7 @@ def test_moment_update_requires_replication():
     data = ClusteredDataset(clusters=singles)
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
     with pytest.raises(InsufficientReplication):
-        _moment_update(data, TRUTH, CONSTANT, floor)
+        _moment_update(_prepare(*_stack(data), CONSTANT), TRUTH, floor)
 
 
 # --- covariance ------------------------------------------------------------------
@@ -138,8 +145,8 @@ def test_moment_update_requires_replication():
 def test_duplicating_clusters_halves_covariance(rng):
     data = _make_clustered(rng, m=4)
     doubled = ClusteredDataset(clusters=data.clusters + data.clusters)
-    c1 = cluster_covariance(data, TRUTH, 2.0, 1.5, POW_HALF)
-    c2 = cluster_covariance(doubled, TRUTH, 2.0, 1.5, POW_HALF)
+    c1 = cluster_covariance(_prepare(*_stack(data), POW_HALF), TRUTH, 2.0, 1.5)
+    c2 = cluster_covariance(_prepare(*_stack(doubled), POW_HALF), TRUTH, 2.0, 1.5)
     assert np.allclose(c2, c1 / 2.0, rtol=1e-13)
 
 
@@ -147,7 +154,7 @@ def test_zero_tau2_covariance_matches_single_curve(rng):
     data = _make_clustered(rng, m=4, tau=0.0)
     pooled = data.pooled()
     gamma = 2.25
-    got = cluster_covariance(data, TRUTH, 0.0, gamma, POW_HALF)
+    got = cluster_covariance(_prepare(*_stack(data), POW_HALF), TRUTH, 0.0, gamma)
     want, ok = _plugin_cov_rows(
         pooled.s, eval_h(POW_HALF, pooled.s),
         np.array([TRUTH.vmax]), np.array([TRUTH.km]), np.array([gamma]),
@@ -162,7 +169,7 @@ def test_cluster_covariance_matches_long_double_oracle():
     # (ROADMAP item 3), which this check would show.
     data = generate_clustered(ClusterScenario(m=6), 0)
     tau2, gamma = 2.0, 1.5
-    got = cluster_covariance(data, TRUTH, tau2, gamma, POW_HALF)
+    got = cluster_covariance(_prepare(*_stack(data), POW_HALF), TRUTH, tau2, gamma)
     want = long_double_cluster_covariance(
         [c.s for c in data.clusters], TRUTH.vmax, TRUTH.km, tau2, gamma,
         lambda s: eval_h(POW_HALF, s),
@@ -267,6 +274,13 @@ def test_balanced_suite_panels_stop_at_the_pooled_fit():
             assert res.converged and res.iterations == 1
             got, want = res.params.as_array(), pooled.params.as_array()
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        # the lockstep rows stop there too, none handed to fit_clustered
+        s = np.tile(sc.cluster_s(), m)
+        starts = np.arange(m) * sc.cluster_s().size
+        y = np.array([generate_clustered(sc, r).pooled().y for r in range(50)])
+        rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
+        assert rows.converged.all() and (rows.iterations == 1).all()
+        assert not rows.fallback.any()
 
 
 def test_fit_clustered_rows_names_fit_clustered_failures():
@@ -282,6 +296,7 @@ def test_fit_clustered_rows_names_fit_clustered_failures():
         rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
         assert rows.failure.tolist() == [name, name]
         assert np.isnan(rows.theta).all() and not rows.converged.any()
+        assert rows.fallback.all() and (rows.iterations == 0).all()
 
 
 def test_iteration_cap_flags_nonconvergence(rng, monkeypatch):
@@ -301,3 +316,141 @@ def test_fit_clustered_insufficient_replication():
     )
     with pytest.raises(InsufficientReplication):
         fit_clustered(ClusteredDataset(clusters=singles), CONSTANT)
+
+
+# --- unbalanced plate panels, pinned bit for bit ------------------------------
+
+PLATE_LEVELS = np.array([10.0, 40.0, 80.0, 130.0, 200.0, 350.0, 700.0, 1200.0])
+
+
+def _plate_panel(seed):
+    # 3-8 clusters, each keeping 4-11 of the 16 wells of an 8-level x
+    # 2-replicate plate; a normal vmax shift per cluster (sd 40) and noise of
+    # variance 25 sqrt(S) around vmax = 100, km = 20.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 9))
+    clusters = []
+    for shift in rng.normal(0.0, 40.0, m):
+        wells = np.sort(rng.choice(16, size=int(rng.integers(4, 12)), replace=False))
+        s = PLATE_LEVELS[wells % 8]
+        y = (100.0 + shift) * s / (20.0 + s) + 5.0 * s**0.25 * rng.standard_normal(s.size)
+        clusters.append(Dataset(s, y))
+    return ClusteredDataset(tuple(clusters))
+
+
+# case -> seed, float.hex of (vmax, km, tau2, gamma, se_vmax, se_km),
+# iterations, converged.  "gamma_floor" ends with gamma at its floor,
+# "boundary_tau2" with tau2 truncated at 0, and "max_iter" stalls at the
+# floor until the iteration cap.
+_PINNED = {
+    "converged": (1, (
+        "0x1.aa678993fa84ep+6", "0x1.26622b636d448p+4", "0x1.313fad82387cfp+7",
+        "0x1.0b1c08014197ap+5", "0x1.08c5405a7215fp+3", "0x1.ea47cdece8c28p+1",
+    ), 9, True),
+    "gamma_floor": (231, (
+        "0x1.199e125799e57p+7", "0x1.a0f5ca7d9d42dp+4", "0x1.b5e05b82f5a5ap+11",
+        "0x1.bf44a0aa82ab9p-29", "0x1.d97b590e4949bp+4", "0x1.039cec35aac47p-14",
+    ), 11, True),
+    "boundary_tau2": (200, (
+        "0x1.4de4911b24604p+6", "0x1.699d62196d06ap+2", "0x0.0p+0",
+        "0x1.28841a85e9298p+4", "0x1.3754818681da5p+2", "0x1.41bbe5d64cdb7p+1",
+    ), 1, True),
+    "max_iter": (34, (
+        "0x1.00ff4fbb6cc23p+7", "0x1.3d6d4b129c095p+4", "0x1.114fcf1f32dc2p+12",
+        "0x1.e505d3250c34fp-29", "0x1.316d21786c081p+5", "0x1.887b02b57ce8dp-15",
+    ), MAX_ITER, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_fit_clustered_pinned_on_unbalanced_panels(case):
+    seed, want, iterations, converged = _PINNED[case]
+    data = _plate_panel(seed)
+    res = fit_clustered(data, POW_HALF)
+    got = (res.params.vmax, res.params.km, res.tau2, res.gamma, *res.se.tolist())
+    assert [float.hex(v) for v in got] == list(want)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    assert (res.gamma == floor) == (case in ("gamma_floor", "max_iter"))
+    assert res.boundary_tau2 == (case == "boundary_tau2")
+
+
+def test_damped_steps_count_the_damping_rule():
+    stalled = fit_clustered(_plate_panel(34), POW_HALF)
+    assert not stalled.converged
+    assert 0 < stalled.damped_steps < stalled.iterations
+    assert fit_clustered(_plate_panel(200), POW_HALF).damped_steps == 0
+
+
+def test_fit_clustered_rows_report_iterations_and_fallback():
+    # The stalled panel is still open at MAX_ITER in the lockstep stage and
+    # goes to fit_clustered; the ordinary one finishes in lockstep.
+    for seed, fallback in ((1, False), (34, True)):
+        data = _plate_panel(seed)
+        s, starts, y = _stack(data)
+        y = y[None, :]
+        rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
+        assert rows.fallback.tolist() == [fallback]
+        assert rows.iterations.tolist() == [fit_clustered(data, POW_HALF).iterations]
+
+
+def _score_reference(ks, s, y, h, starts, tau2, gamma):
+    # The stacked score's km component on an array of k values, written out
+    # in one pass over (K, N) arrays.
+    kk = np.atleast_1d(np.asarray(ks, dtype=np.float64))[:, None]
+    d = kk + s
+    z = s / d
+    ginv = 1.0 / (gamma * h)
+    uz = z * ginv
+    a1 = np.add.reduceat(uz * y, starts, axis=1)
+    a2 = np.add.reduceat(uz * z, starts, axis=1)
+    c = tau2 / (1.0 + tau2 * a2)
+    t = 1.0 - c * a2
+    vhat = (a1 * t).sum(axis=1) / (a2 * t).sum(axis=1)
+    e = z / d
+    q1 = np.add.reduceat(e * ginv * y, starts, axis=1)
+    q2 = np.add.reduceat(e * ginv * z, starts, axis=1)
+    vh = vhat[:, None]
+    inner = (q1 - vh * q2) - c * q2 * (a1 - vh * a2)
+    return -vhat * inner.sum(axis=1)
+
+
+@pytest.mark.parametrize("seed, at_floor", [(1, False), (231, True)])
+def test_grid_and_scalar_scores_agree_bit_for_bit(monkeypatch, seed, at_floor):
+    # gls_km_profile scans its grid with (K, N) arrays and takes each Brent
+    # step on (N,) ones; at the same k both give the reference's bits.
+    data = _plate_panel(seed)
+    panel = _prepare(*_stack(data), POW_HALF)
+    floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    moments = _moment_update(panel, fit_single(data.pooled(), POW_HALF).params, floor)
+    tau2, gamma = moments.tau2, moments.gamma
+    assert (gamma == floor) == at_floor
+
+    steps = []
+    brent = rootfind._brent
+
+    def recorded(f, a, b):
+        def g(k):
+            steps.append((k, f(k)))
+            return steps[-1][1]
+
+        return brent(g, a, b)
+
+    monkeypatch.setattr(rootfind, "_brent", recorded)
+    gls_km_profile(panel, tau2, gamma)
+    assert len(steps) > 5
+
+    def hexes(values):
+        return [float.hex(float(v)) for v in values]
+
+    ginv = 1.0 / (gamma * panel.h)
+    s, y, starts = panel.s, panel.y, panel.starts
+    with np.errstate(invalid="ignore", divide="ignore"):
+        on_grid = [_score(*_score_sums(k, s, y, ginv, starts, tau2)) for k in panel.ks]
+        for ks, scalar in (
+            (np.array([k for k, _ in steps]), [f for _, f in steps]),
+            (panel.ks, on_grid),
+        ):
+            grid = _score(*_score_sums(ks, s, y, ginv, starts, tau2))
+            want = _score_reference(ks, s, y, panel.h, starts, tau2, gamma)
+            assert hexes(scalar) == hexes(grid) == hexes(want)

@@ -5,19 +5,21 @@ import pytest
 
 from mmhet import ClusterScenario, MMParams, SingleScenario, VarianceSpec, fit_single
 from mmhet import generate_clustered, generate_single, rootfind, single
-from mmhet.cluster import GAMMA_FLOOR_REL, _moment_update, gls_km_profile
+from mmhet.cluster import GAMMA_FLOOR_REL, _moment_update, _prepare, _stack, gls_km_profile
 from mmhet.core import DEFAULT_CANDIDATES, eval_h
 from mmhet.exceptions import NoFiniteEvaluation
 from mmhet.rootfind import _brent, k_bracket, log_grid, solve_rows, solve_scalar
 
 
 def _wrap(f):
-    # Adapt a plain scalar function to the (values, scales) contract.
-    def evaluate(ks):
-        vals = np.array([f(k) for k in np.atleast_1d(ks)], dtype=np.float64)
-        return vals, np.ones_like(vals)
+    # Adapt a plain scalar function to solve_scalar's contract: its value
+    # on the grid or at one k, and the (value, scale) pair at one k.
+    def evaluate(k):
+        if np.ndim(k) == 0:
+            return float(f(k))
+        return np.array([f(x) for x in k], dtype=np.float64)
 
-    return evaluate
+    return evaluate, lambda k: (float(f(k)), 1.0)
 
 
 def _solve_rows(fs, k_lo, k_hi):
@@ -38,7 +40,7 @@ def _rows(f, k_lo, k_hi):
 
 
 def test_simple_root_to_machine_precision():
-    root, diag = solve_scalar(_wrap(np.log), 0.01, 100.0)
+    root, diag = solve_scalar(*_wrap(np.log), log_grid(0.01, 100.0))
     assert root == pytest.approx(1.0, rel=1e-14)
     assert diag.used_root
     assert diag.converged
@@ -56,7 +58,7 @@ def test_first_bracket_wins_with_multiple_roots():
     def f(k):
         return np.sin(np.log(k))
 
-    root, diag = solve_scalar(_wrap(f), 1.3e-2, 1.1e3)
+    root, diag = solve_scalar(*_wrap(f), log_grid(1.3e-2, 1.1e3))
     assert root == pytest.approx(np.exp(-np.pi), rel=1e-12)
     assert diag.sign_changes == 4
     assert diag.used_root
@@ -64,7 +66,7 @@ def test_first_bracket_wins_with_multiple_roots():
 
 
 def test_exact_grid_zero_short_circuits():
-    root, diag = solve_scalar(_wrap(lambda k: 0.0), 0.5, 50.0)
+    root, diag = solve_scalar(*_wrap(lambda k: 0.0), log_grid(0.5, 50.0))
     assert root == 0.5  # first grid point
     assert diag.iterations == 0
     assert diag.f_at_solution == 0.0
@@ -75,7 +77,7 @@ def test_exact_grid_zero_short_circuits():
 def test_golden_fallback_when_no_sign_change():
     # F >= 0 everywhere with the minimum at k = 5: no bracket exists, so
     # the solver minimizes F^2 on the log scale instead.
-    root, diag = solve_scalar(_wrap(lambda k: np.log(k / 5.0) ** 2), 0.01, 100.0)
+    root, diag = solve_scalar(*_wrap(lambda k: np.log(k / 5.0) ** 2), log_grid(0.01, 100.0))
     assert not diag.used_root
     assert root == pytest.approx(5.0, rel=1e-8)
     assert diag.converged
@@ -89,7 +91,7 @@ def test_nan_region_is_skipped():
     def f(k):
         return np.log(k) if k >= 0.1 else np.nan
 
-    root, diag = solve_scalar(_wrap(f), 0.01, 100.0)
+    root, diag = solve_scalar(*_wrap(f), log_grid(0.01, 100.0))
     assert root == pytest.approx(1.0, rel=1e-12)
     assert diag.converged
     # a non-finite grid value sends the whole row to solve_scalar
@@ -98,7 +100,7 @@ def test_nan_region_is_skipped():
 
 def test_all_nan_raises():
     with pytest.raises(NoFiniteEvaluation):
-        solve_scalar(_wrap(lambda k: np.nan), 0.01, 100.0)
+        solve_scalar(*_wrap(lambda k: np.nan), log_grid(0.01, 100.0))
     assert np.isnan(_rows(lambda k: np.nan, 0.01, 100.0)).all()
 
 
@@ -248,8 +250,9 @@ def test_brent_matches_brentq_on_gls_profile_at_gamma_floor(brent_vs_brentq):
     spec = VarianceSpec.power(0.5)
     start = fit_single(data.pooled(), spec).params
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
-    tau2, gamma, _ = _moment_update(data, start, spec, floor)
-    assert gamma == floor
-    assert tau2 > 1e3
-    gls_km_profile(data, spec, tau2, gamma)
+    panel = _prepare(*_stack(data), spec)
+    moments = _moment_update(panel, start, floor)
+    assert moments.gamma == floor
+    assert moments.tau2 > 1e3
+    gls_km_profile(panel, moments.tau2, moments.gamma)
     assert len(brent_vs_brentq) == 2  # the pooled start and the GLS profile

@@ -527,7 +527,7 @@ def _loop_clustered(panels, spec):
 
 # "shipped" runs the suite's default scenarios, whose replicates all finish
 # in the lockstep stage.  "fallback" brackets no row there, so every row goes
-# through fit_clustered itself.  "floor" holds the two replicates of the
+# through fit_clustered's per-panel fit.  "floor" holds the two replicates of the
 # default R=1000 suite whose gamma is pinned at its floor and whose
 # information is singular (m3 replicate 927, m6 replicate 415), each beside
 # replicate 0.  The lockstep and scalar root stages stop at roots up to
@@ -551,13 +551,13 @@ def test_clustered_cell_matches_fit_clustered_loop(monkeypatch, case):
     want = _loop_clustered(panels, spec)
 
     calls = []
-    fit = cluster.fit_clustered
+    fit = cluster._fit_stacked
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(cluster, "fit_clustered", counted)
+    monkeypatch.setattr(cluster, "_fit_stacked", counted)
     if case == "fallback":
         monkeypatch.setattr(cluster, "solve_rows", _bracket_nothing)
     s = np.tile(sc.cluster_s(), m)

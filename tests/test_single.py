@@ -47,7 +47,7 @@ def test_profile_f_hand_value():
     #   S1 = 23/12, S4 = 181/144, S2 = 95/144, S3 = 715/1728,
     #   F  = S1*S3 - S2*S4 = -125/3456.
     value, _ = single._profile_terms(1.0, np.array([1.0, 2.0, 3.0]), np.ones(3), np.ones(3))
-    assert value[0] == pytest.approx(-125.0 / 3456.0, rel=1e-14)
+    assert value == pytest.approx(-125.0 / 3456.0, rel=1e-14)
 
 
 def test_vmax_plugin_hand_value():
