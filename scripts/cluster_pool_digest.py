@@ -1,0 +1,78 @@
+"""One digest over fit_clustered's results on every cluster_panels pool panel.
+
+Builds each of the benchmark's 1200 pool panels (``make_cluster_panel`` in
+bench/workloads.py, sentinel rows dropped as ingest drops them), fits it
+under ``pow:0.5`` as ``mmhet cluster`` does, and prints one sha256 over
+the float.hex of every number in each ClusterFitResult (the exception's
+class name where the fit raises).  Two versions of the package that print
+the same digest return the same results, bit for bit, on the whole pool.
+
+``cycle`` is summarised on its own line rather than digested, so versions
+with and without that field give comparable digests.
+
+    PYTHONPATH=src python3 scripts/cluster_pool_digest.py
+"""
+
+import hashlib
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import CLUSTER_POOL_SIZE, make_cluster_panel  # noqa: E402
+
+from mmhet import ClusteredDataset, VarianceSpec, fit_clustered  # noqa: E402
+from mmhet.core import MMParams  # noqa: E402
+from mmhet.exceptions import MMHetError  # noqa: E402
+
+SPEC = VarianceSpec.parse("pow:0.5")
+
+
+def _numbers(value) -> list[float]:
+    if isinstance(value, MMParams):
+        return [value.vmax, value.km]
+    if isinstance(value, VarianceSpec):
+        return []  # the same spec for every panel
+    return [float(v) for v in np.ravel(value)]
+
+
+def panel_record(index: int) -> tuple[str, tuple[int, int] | None]:
+    """Panel ``index``'s digest line and its cycle (None if it has none)."""
+    rows = [(c, s, v) for c, s, v in make_cluster_panel(index) if not np.isnan(v)]
+    labels, s, y = zip(*rows)
+    try:
+        res = fit_clustered(ClusteredDataset.from_labels(s, y, labels), SPEC)
+    except MMHetError as err:
+        return f"{index}:{type(err).__name__}", None
+    values = [
+        float.hex(v)
+        for f in fields(res) if f.name != "cycle"
+        for v in _numbers(getattr(res, f.name))
+    ]
+    return f"{index}:" + ",".join(values), getattr(res, "cycle", None)
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    cycles = []
+    for index in range(CLUSTER_POOL_SIZE):
+        line, cycle = panel_record(index)
+        digest.update(line.encode("ascii") + b"\n")
+        if cycle is not None:
+            cycles.append(cycle)
+    print(f"pool digest ({CLUSTER_POOL_SIZE} panels): {digest.hexdigest()}")
+    if cycles:
+        first, period = np.array(cycles).T
+        print(
+            f"cycling panels: {len(cycles)}; first repeated iteration "
+            f"{first.min()}-{first.max()} (median {np.median(first):g}); "
+            f"period {period.min()}-{period.max()} (median {np.median(period):g})"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

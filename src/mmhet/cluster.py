@@ -15,11 +15,25 @@ profiled to one scalar equation in km exactly like the single-curve case;
 tau2 and gamma come from moment matching on within-cluster residual
 products, and the two blocks are alternated to a fixed point.
 
-A fit builds its panel's stacked arrays, h, the per-cluster log h sums and
-the km grid once (``_PreparedPanel``).  Each iteration then solves km on
-that grid, with the score's value alone at every Brent step, and reuses the
-moment update's residuals and loadings in both working likelihoods of the
-damping rule.
+A fit builds its panel's stacked arrays, h, the per-cluster log h sums, the
+km grid and the loadings on it once (``_PreparedPanel``).  Each iteration
+then solves km on that grid, with the score's value alone at every Brent
+step and the grid scan's values at the bracket's ends, takes the plug-in
+vmax from the sums of the root's convergence test, and reuses the moment
+update's residuals and loadings in both working likelihoods of the damping
+rule.
+
+An iteration is a function of the (tau2, gamma) it starts from alone.  So
+when iteration j starts from the exact bits iteration i < j started from and
+does not converge, the alternation has entered a cycle of period j - i: each
+later iteration k repeats iteration i + (k - i) % (j - i), and its change
+repeats one of iterations i+1..j's, all at least REL_TOL, so it would run to
+MAX_ITER.  The fit stops at j and returns iteration MAX_ITER's outcome as
+recorded at i + (MAX_ITER - i) % (j - i), with ``iterations = MAX_ITER``
+(the length of the alternation the result stands for, not the iterations
+computed), the damped steps of the replayed iterations added in, and
+``cycle = (i, j - i)``.  Its result is the one iterating to MAX_ITER gives,
+bit for bit.
 
 ``fit_clustered_rows`` runs the same alternation for many panels that share
 one stacked design and cluster layout (the clustered Monte Carlo suite's
@@ -31,6 +45,7 @@ and covariance.  Rows it cannot carry to convergence go back to
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +99,9 @@ class ClusterFitResult:
     variance_spec: VarianceSpec
     alpha: float
     damped_steps: int  # iterations whose moment step the DAMPING rule halved
+    # (first iteration whose starting (tau2, gamma) recurred, period) when
+    # the fit stopped in a replayed cycle, else None
+    cycle: tuple[int, int] | None
 
 
 def _check_variance(tau2: float, gamma: float) -> None:
@@ -128,7 +146,8 @@ class _PreparedPanel:
 
     s, y and h = h(s) are stacked in cluster order, cluster i beginning at
     starts[i]; ``bounds`` holds each cluster's (start, stop), ``log_h`` each
-    cluster's sum of log h, and ``ks`` the km grid (log_grid of k_bracket).
+    cluster's sum of log h, ``ks`` the km grid (log_grid of k_bracket) and
+    ``loadings`` _loadings(ks, s), both (ks.size, N).
     """
 
     s: np.ndarray
@@ -138,6 +157,7 @@ class _PreparedPanel:
     bounds: tuple[tuple[int, int], ...]
     log_h: tuple[float, ...]
     ks: np.ndarray
+    loadings: tuple[np.ndarray, np.ndarray]
 
 
 def _prepare(s, starts, y, spec: VarianceSpec) -> _PreparedPanel:
@@ -156,31 +176,40 @@ def _prepare(s, starts, y, spec: VarianceSpec) -> _PreparedPanel:
         )
     h = eval_h(spec, s)
     log_h = np.log(h)
+    ks = log_grid(*k_bracket(s))
     return _PreparedPanel(
         s, y, h, starts, bounds,
         tuple(float(log_h[lo:hi].sum()) for lo, hi in bounds),
-        log_grid(*k_bracket(s)),
+        ks, _loadings(ks, s),
     )
 
 
-def _score_sums(k, s, y, ginv, starts, tau2):
-    """Per-cluster sums of the stacked score's km component at one k, at
-    each point of a grid of k values, or at k[i] for response row i.
-
-    For each k the loading z(k) = s/(k+s) doubles as the vmax regressor, and
-    the GLS plug-in vmax(k) is the ratio of weighted projections.  ginv is
-    1 / (gamma h).  Returns (vhat, a1, a2, c, q1, q2), from which _score and
-    _score_terms assemble the score out of per-cluster rank-one pieces.
-    """
+def _loadings(k, s):
+    """The loading z = s/(k+s) and its km sensitivity over -vmax, z/(k+s) =
+    s/(k+s)^2, at one k, at each point of a grid of k values, or at k[i] on
+    row i."""
     d = np.asarray(k)[..., None] + s
     z = s / d
+    return z, z / d
+
+
+def _score_sums(z, e, y, ginv, starts, tau2):
+    """Per-cluster sums of the stacked score's km component at the loadings
+    (z, e) = _loadings(k, s) of one k, of a grid of k values, or of k[i] for
+    response row i.
+
+    The loading z doubles as the vmax regressor, and the GLS plug-in
+    vmax(k) is the ratio of weighted projections.  ginv is 1 / (gamma h).
+    Returns (vhat, a1, a2, c, q1, q2), from which _score and _score_terms
+    assemble the score out of per-cluster rank-one pieces.
+    """
     uz = z * ginv
     a1 = np.add.reduceat(uz * y, starts, axis=-1)
     a2 = np.add.reduceat(uz * z, starts, axis=-1)
     c = tau2 / (1.0 + tau2 * a2)
     t = 1.0 - c * a2  # equals 1 / (1 + tau2 * z'Ginv z)
     vhat = (a1 * t).sum(axis=-1) / (a2 * t).sum(axis=-1)
-    eg = z / d * ginv  # s / (k+s)^2, the km sensitivity direction over -vhat, times ginv
+    eg = e * ginv
     q1 = np.add.reduceat(eg * y, starts, axis=-1)
     q2 = np.add.reduceat(eg * z, starts, axis=-1)
     return vhat, a1, a2, c, q1, q2
@@ -207,7 +236,8 @@ def gls_km_profile(
     """Solve the km component of the stacked GLS score at fixed (tau2, gamma).
 
     Uses the same log-grid bracket plus Brent/golden machinery as the
-    single-curve solve.  Returns (km, vmax, diagnostics).
+    single-curve solve; the grid scan reads the panel's loadings.  Returns
+    (km, vmax, diagnostics).
     """
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
@@ -215,13 +245,20 @@ def gls_km_profile(
     ginv = 1.0 / (gamma * panel.h)
 
     def sums(k):
-        return _score_sums(k, s, y, ginv, starts, tau2)
+        # solve_scalar passes an array only for its scan of panel.ks
+        z, e = panel.loadings if isinstance(k, np.ndarray) else _loadings(k, s)
+        return _score_sums(z, e, y, ginv, starts, tau2)
+
+    at_root = {}  # the sums of terms' one call, at the k solve_scalar returns
+
+    def terms(k):
+        at_root[k] = sums(k)
+        return _score_terms(*at_root[k])
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        km, diag = solve_scalar(
-            lambda k: _score(*sums(k)), lambda k: _score_terms(*sums(k)), panel.ks
-        )
-        vhat = sums(km)[0]
+        km, diag = solve_scalar(lambda k: _score(*sums(k)), terms, panel.ks)
+        # an exact zero on the grid is returned without a terms call
+        vhat = (at_root.get(km) or sums(km))[0]
     return km, float(vhat), diag
 
 
@@ -336,7 +373,9 @@ def fit_clustered(
 
     Initialization pools all clusters through the single-curve fit under the
     same working shape.  Nonconvergence within MAX_ITER returns the last
-    iterate flagged converged=False rather than raising.
+    iterate flagged converged=False rather than raising; an alternation
+    caught in an exact cycle is replayed to MAX_ITER (see the module
+    docstring) and says so in ``cycle``.
     """
     return _fit_stacked(*_stack(data), spec, conf)
 
@@ -366,8 +405,12 @@ def _fit_stacked(
 
     converged = False
     iterations = damped = 0
+    cycle = None
     diag: SolverDiagnostics | None = None
+    started: dict[bytes, int] = {}  # bits of each iteration's (tau2, gamma) -> iteration
+    trail = []  # iteration k's (params, tau2, gamma, truncated, damped) at k - 1
     for iterations in range(1, MAX_ITER + 1):
+        first = started.setdefault(struct.pack("<2d", tau2, gamma), iterations)
         km, vmax, diag = gls_km_profile(panel, tau2, gamma)
         if not np.isfinite(vmax) or vmax <= 0:
             raise DegenerateDesign(
@@ -377,9 +420,11 @@ def _fit_stacked(
         new_params = MMParams(vmax, km)
         moments = _moment_update(panel, new_params, gamma_floor)
         new_tau2, new_gamma, truncated = moments.tau2, moments.gamma, moments.truncated
-        if _neg2_working_loglik(
-            panel, moments, new_tau2, new_gamma
-        ) > _neg2_working_loglik(panel, moments, tau2, gamma):
+        damp = bool(
+            _neg2_working_loglik(panel, moments, new_tau2, new_gamma)
+            > _neg2_working_loglik(panel, moments, tau2, gamma)
+        )
+        if damp:
             new_tau2 = tau2 + DAMPING * (new_tau2 - tau2)
             new_gamma = gamma + DAMPING * (new_gamma - gamma)
             damped += 1
@@ -392,6 +437,15 @@ def _fit_stacked(
         params, tau2, gamma = new_params, new_tau2, new_gamma
         if change < REL_TOL:
             converged = True
+            break
+        trail.append((params, tau2, gamma, truncated, damp))
+        if first < iterations:
+            # Iteration k >= first repeats iteration first + (k - first) % period.
+            period = iterations - first
+            replayed = [first + (k - first) % period for k in range(iterations + 1, MAX_ITER + 1)]
+            damped += sum(trail[k - 1][4] for k in replayed)
+            params, tau2, gamma, truncated, _ = trail[first + (MAX_ITER - first) % period - 1]
+            iterations, cycle = MAX_ITER, (first, period)
             break
 
     cov = cluster_covariance(panel, params, tau2, gamma)
@@ -411,6 +465,7 @@ def _fit_stacked(
         variance_spec=spec,
         alpha=conf.alpha,
         damped_steps=damped,
+        cycle=cycle,
     )
 
 
@@ -595,7 +650,9 @@ def fit_clustered_rows(
                 values = _score_grid(ks, s, h, starts, yl, t2, g)
 
             def sums(x, i):
-                return _score_sums(x, s, yl[i], 1.0 / (g[i, None] * h), starts, t2[i, None])
+                return _score_sums(
+                    *_loadings(x, s), yl[i], 1.0 / (g[i, None] * h), starts, t2[i, None]
+                )
 
             new_vmax = np.full(live.size, np.nan)  # NaN: no bracket
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -89,9 +89,11 @@ def solve_scalar(
 
     ``evaluate(k)`` is the equation's value: an array over an array of k
     values (the grid scan), one value at a float k (the Brent and golden
-    steps).  ``terms(k)`` is the (value, scale) pair at one k, with scale
-    the natural magnitude of the equation there; only the relative |F|
-    convergence test at the returned k reads it.
+    steps).  The two must agree bit for bit at the grid's points: Brent
+    takes its bracket's end values from the scan.  ``terms(k)`` is the
+    (value, scale) pair at one k, with scale the natural magnitude of the
+    equation there; only the relative |F| convergence test at the returned
+    k reads it.
     """
     k_lo, k_hi = float(ks[0]), float(ks[-1])
     values = evaluate(ks)
@@ -121,9 +123,10 @@ def solve_scalar(
 
     if flips.size:
         # First bracket scanning upward from k_lo (multi-root policy).
-        a = float(ks[idx[flips[0]]])
-        b = float(ks[idx[flips[0] + 1]])
-        root, iterations, brent_converged = _brent(f, a, b)
+        j = flips[0]
+        root, iterations, brent_converged = _brent(
+            f, float(ks[idx[j]]), float(ks[idx[j + 1]]), float(vals[j]), float(vals[j + 1])
+        )
         f_root, scale = terms(root)
         converged = abs(f_root) <= TOL_F_REL * scale or brent_converged
         return root, diagnostics(
@@ -140,8 +143,11 @@ def solve_scalar(
     )
 
 
-def _brent(f: Callable[[float], float], a: float, b: float) -> tuple[float, int, bool]:
-    """Root of f on [a, b], f(a) f(b) < 0, by Brent's method.
+def _brent(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> tuple[float, int, bool]:
+    """Root of f on [a, b], given fa = f(a) and fb = f(b) with fa fb < 0, by
+    Brent's method.
 
     Returns (root, iterations, converged).  Each step takes an inverse
     quadratic or secant step if it is short enough, else bisects, and moves
@@ -150,7 +156,7 @@ def _brent(f: Callable[[float], float], a: float, b: float) -> tuple[float, int,
     iteration counts match it bit for bit; tests/test_rootfind.py checks.
     """
     xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if fpre == 0.0:
         return xpre, 0, True
     if fcur == 0.0:

@@ -3,11 +3,31 @@
 Everything here deliberately avoids the package's own solver paths: dense
 linear algebra instead of rank-one updates, scipy's damped least squares
 instead of the profile root, and plain grid search instead of bracketing.
-Slow and simple on purpose.
+Slow and simple on purpose.  The one exception, ``plain_alternation``,
+reuses the clustered fit's own steps to check the loop that drives them.
 """
+
+import struct
 
 import numpy as np
 from scipy.optimize import least_squares
+
+from mmhet import MMParams, NonconvergedFit, fit_single
+from mmhet.cluster import (
+    DAMPING,
+    GAMMA_FLOOR_REL,
+    MAX_ITER,
+    REL_TOL,
+    ClusterFitResult,
+    _moment_update,
+    _neg2_working_loglik,
+    _prepare,
+    _rel_change,
+    _stack,
+    cluster_covariance,
+    gls_km_profile,
+)
+from mmhet.core import wald_z
 
 
 def lm_weighted_fit(s, y, h=None, start=None):
@@ -117,3 +137,74 @@ def long_double_cluster_covariance(clusters, vmax, km, tau2, gamma, h_of):
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
     inv = np.array([[info[1, 1], -info[0, 1]], [-info[1, 0], info[0, 0]]]) / det
     return inv.astype(np.float64)
+
+
+def plain_alternation(data, spec, alpha=0.05):
+    """fit_clustered's result, from its own pooled start, km profile, moment
+    update and damping rule, iterated until the change test passes or
+    MAX_ITER iterations have run, with no cycle replay.
+
+    ``cycle`` is read off the iterates afterwards: for a fit that did not
+    converge, the first iteration whose starting (tau2, gamma) bits a later
+    iteration starts from again, and the distance to that later iteration.
+    """
+    pooled = data.pooled()
+    try:
+        params = fit_single(pooled, spec).params
+    except NonconvergedFit as err:
+        params = err.result.params
+    panel = _prepare(*_stack(data), spec)
+    floor = GAMMA_FLOOR_REL * float(np.var(pooled.y))
+    moments = _moment_update(panel, params, floor)
+    tau2, gamma, truncated = moments.tau2, moments.gamma, moments.truncated
+    states = []
+    converged = False
+    damped = 0
+    for iterations in range(1, MAX_ITER + 1):
+        states.append(struct.pack("<2d", tau2, gamma))
+        km, vmax, diag = gls_km_profile(panel, tau2, gamma)
+        new_params = MMParams(vmax, km)
+        moments = _moment_update(panel, new_params, floor)
+        new_tau2, new_gamma, truncated = moments.tau2, moments.gamma, moments.truncated
+        if _neg2_working_loglik(panel, moments, new_tau2, new_gamma) > _neg2_working_loglik(
+            panel, moments, tau2, gamma
+        ):
+            new_tau2 = tau2 + DAMPING * (new_tau2 - tau2)
+            new_gamma = gamma + DAMPING * (new_gamma - gamma)
+            damped += 1
+        change = max(
+            _rel_change(params.vmax, new_params.vmax),
+            _rel_change(params.km, new_params.km),
+            _rel_change(tau2, new_tau2),
+            _rel_change(gamma, new_gamma),
+        )
+        params, tau2, gamma = new_params, new_tau2, new_gamma
+        if change < REL_TOL:
+            converged = diag.converged
+            break
+    cycle = None
+    if not converged:
+        for j, state in enumerate(states):
+            if state in states[:j]:
+                i = states.index(state)
+                cycle = (i + 1, j - i)
+                break
+    cov = cluster_covariance(panel, params, tau2, gamma)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    z = wald_z(alpha)
+    return ClusterFitResult(
+        params=params,
+        tau2=tau2,
+        gamma=gamma,
+        cov=cov,
+        se=se,
+        ci_vmax=(params.vmax - z * se[0], params.vmax + z * se[0]),
+        ci_km=(params.km - z * se[1], params.km + z * se[1]),
+        iterations=iterations,
+        converged=converged,
+        boundary_tau2=truncated,
+        variance_spec=spec,
+        alpha=alpha,
+        damped_steps=damped,
+        cycle=cycle,
+    )

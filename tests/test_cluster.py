@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mmhet import rootfind
 from mmhet.cluster import (
     GAMMA_FLOOR_REL,
     MAX_ITER,
+    _loadings,
     _moment_update,
     _prepare,
     _score,
@@ -29,7 +32,12 @@ from mmhet.cluster import (
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
 from mmhet.single import _plugin_cov_rows, fit_rows
-from oracles import dense_solve, gls_quadratic, long_double_cluster_covariance
+from oracles import (
+    dense_solve,
+    gls_quadratic,
+    long_double_cluster_covariance,
+    plain_alternation,
+)
 
 POW_HALF = VarianceSpec.power(0.5)
 CONSTANT = VarianceSpec.constant()
@@ -370,6 +378,8 @@ def test_fit_clustered_pinned_on_unbalanced_panels(case):
     got = (res.params.vmax, res.params.km, res.tau2, res.gamma, *res.se.tolist())
     assert [float.hex(v) for v in got] == list(want)
     assert (res.iterations, res.converged) == (iterations, converged)
+    # seed 34 repeats iteration 90's (tau2, gamma) two iterations later
+    assert res.cycle == ((90, 2) if case == "max_iter" else None)
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
     assert (res.gamma == floor) == (case in ("gamma_floor", "max_iter"))
     assert res.boundary_tau2 == (case == "boundary_tau2")
@@ -380,6 +390,28 @@ def test_damped_steps_count_the_damping_rule():
     assert not stalled.converged
     assert 0 < stalled.damped_steps < stalled.iterations
     assert fit_clustered(_plate_panel(200), POW_HALF).damped_steps == 0
+
+
+def _field_bits(res) -> dict:
+    def bits(value):
+        if isinstance(value, MMParams):
+            value = value.as_array()
+        if isinstance(value, VarianceSpec):
+            return value.label()
+        if value is None:
+            return None
+        return [float.hex(float(v)) for v in np.ravel(value)]
+
+    return {f.name: bits(getattr(res, f.name)) for f in fields(res)}
+
+
+@pytest.mark.parametrize("seed", [1, 9, 21, 34, 128, 148])
+def test_cycle_replay_matches_the_plain_alternation(seed):
+    # Seeds 9-148 cycle with periods 8, 3, 2, 18 and 2; seed 1 converges.
+    data = _plate_panel(seed)
+    res = fit_clustered(data, POW_HALF)
+    assert (res.cycle is None) == (seed == 1)
+    assert _field_bits(res) == _field_bits(plain_alternation(data, POW_HALF))
 
 
 def test_fit_clustered_rows_report_iterations_and_fallback():
@@ -429,28 +461,32 @@ def test_grid_and_scalar_scores_agree_bit_for_bit(monkeypatch, seed, at_floor):
     steps = []
     brent = rootfind._brent
 
-    def recorded(f, a, b):
+    def recorded(f, a, b, fa, fb):
         def g(k):
             steps.append((k, f(k)))
             return steps[-1][1]
 
-        return brent(g, a, b)
+        # the scan's end values (from panel.loadings) are the scalar score's
+        assert hexes([fa, fb]) == hexes([g(a), g(b)])
+        return brent(g, a, b, fa, fb)
+
+    def hexes(values):
+        return [float.hex(float(v)) for v in values]
 
     monkeypatch.setattr(rootfind, "_brent", recorded)
     gls_km_profile(panel, tau2, gamma)
     assert len(steps) > 5
 
-    def hexes(values):
-        return [float.hex(float(v)) for v in values]
-
     ginv = 1.0 / (gamma * panel.h)
     s, y, starts = panel.s, panel.y, panel.starts
     with np.errstate(invalid="ignore", divide="ignore"):
-        on_grid = [_score(*_score_sums(k, s, y, ginv, starts, tau2)) for k in panel.ks]
+        on_grid = [
+            _score(*_score_sums(*_loadings(k, s), y, ginv, starts, tau2)) for k in panel.ks
+        ]
         for ks, scalar in (
             (np.array([k for k, _ in steps]), [f for _, f in steps]),
             (panel.ks, on_grid),
         ):
-            grid = _score(*_score_sums(ks, s, y, ginv, starts, tau2))
+            grid = _score(*_score_sums(*_loadings(ks, s), y, ginv, starts, tau2))
             want = _score_reference(ks, s, y, panel.h, starts, tau2, gamma)
             assert hexes(scalar) == hexes(grid) == hexes(want)

@@ -178,18 +178,25 @@ def _assert_brent_is_brentq(f, a, b):
         f, a, b, xtol=1e-240, rtol=4.0 * np.finfo(np.float64).eps, maxiter=200,
         full_output=True,
     )
-    got = _brent(f, a, b)
+    got = _brent(f, a, b, f(a), f(b))
     assert got == (want, res.iterations, res.converged)
     return got
 
 
+def _assert_same_bits(x, y):
+    assert float.hex(float(x)) == float.hex(float(y))
+
+
 @pytest.fixture
 def brent_vs_brentq(monkeypatch):
-    # Checks every bracket solve_scalar hands to the Brent stage; returns
-    # the roots found.
+    # Checks every bracket solve_scalar hands to the Brent stage, and that
+    # the end values it passes are f's own, bit for bit; returns the roots
+    # found.
     roots = []
 
-    def checked(f, a, b):
+    def checked(f, a, b, fa, fb):
+        _assert_same_bits(fa, f(a))
+        _assert_same_bits(fb, f(b))
         got = _assert_brent_is_brentq(f, a, b)
         roots.append(got[0])
         return got
@@ -223,10 +230,10 @@ def test_brent_matches_brentq_on_random_smooth_brackets():
 
 def test_brent_returns_an_endpoint_zero():
     # brentq returns the endpoint too, but leaves its iteration count unset.
-    assert _brent(lambda x: (x - 1.0) ** 2, 1.0, 2.0) == (1.0, 0, True)
-    assert _brent(lambda x: x - 2.0, 1.0, 2.0) == (2.0, 0, True)
+    assert _brent(lambda x: (x - 1.0) ** 2, 1.0, 2.0, 0.0, 1.0) == (1.0, 0, True)
+    assert _brent(lambda x: x - 2.0, 1.0, 2.0, -1.0, 0.0) == (2.0, 0, True)
     with pytest.raises(ValueError):
-        _brent(lambda x: x - 3.0, 1.0, 2.0)
+        _brent(lambda x: x - 3.0, 1.0, 2.0, -2.0, -1.0)
 
 
 def test_brent_matches_brentq_on_ill_conditioned_profiles(brent_vs_brentq):
