@@ -12,6 +12,7 @@ evaluations are floored at H_FLOOR so 1/h stays finite at s = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -118,9 +119,9 @@ class MMParams:
     def __post_init__(self):
         vmax = float(self.vmax)
         km = float(self.km)
-        if not np.isfinite(vmax) or vmax <= 0:
+        if not math.isfinite(vmax) or vmax <= 0:
             raise ValueError(f"vmax must be positive and finite, got {vmax!r}")
-        if not np.isfinite(km) or km <= 0:
+        if not math.isfinite(km) or km <= 0:
             raise ValueError(f"km must be positive and finite, got {km!r}")
         object.__setattr__(self, "vmax", vmax)
         object.__setattr__(self, "km", km)

@@ -11,6 +11,7 @@ equals rows_out plus the recorded drops.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def ingest_csv(path: str | Path, options: IngestOptions | None = None) -> InputT
             if s == SENTINEL or v == SENTINEL:
                 dropped["sentinel"] += 1
                 continue
-            if not (np.isfinite(s) and np.isfinite(v)):
+            if not (math.isfinite(s) and math.isfinite(v)):
                 dropped["nonfinite"] += 1
                 continue
             substrate.append(s)

@@ -3,6 +3,10 @@
 JSON is the canonical machine format: keys are sorted, floats use the
 shortest representation that round-trips exactly, and documents contain no
 wall-clock fields by default, so identical inputs yield identical bytes.
+mmhet writes it with its own emitter, one walk over the document whose
+bytes must equal the standard library's encoding of ``to_dict()``,
+``json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"``; the
+emitter converts numpy values as ``to_dict`` does, without that copy.
 CSV flattens fit blocks or benchmark rows one per line; the human-readable
 text layout puts one candidate model per line, ranked by AIC.
 """
@@ -10,8 +14,8 @@ text layout puts one candidate model per line, ranked by AIC.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -87,6 +91,94 @@ def _native(value):
     return value
 
 
+# json.dumps's spelling of the floats whose repr it does not use
+_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The text of a value of each exact built-in scalar type, to be looked up
+# in _FLOAT_TEXT: no other scalar's text is one of its keys.
+_SCALAR_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_TEXT.get(text, text)
+
+
+def _json(value, pad: str) -> str:
+    """The text of value in json.dumps(_native(value), sort_keys=True,
+    indent=2), where value starts on a line indented by pad."""
+    encode = _SCALAR_TEXT.get(type(value))
+    if encode is not None:
+        text = encode(value)
+        return _FLOAT_TEXT.get(text, text)
+    if type(value) is dict:
+        return _json_dict(value, pad)
+    if type(value) is list or type(value) is tuple:
+        return _json_list(value, pad)
+    return _json_other(value, pad)
+
+
+def _json_list(items, pad: str) -> str:
+    inner = pad + "  "
+    body = (",\n" + inner).join([_json(v, inner) for v in items])
+    return f"[\n{inner}{body}\n{pad}]" if body else "[]"
+
+
+def _json_dict(items: dict, pad: str) -> str:
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    body = (",\n" + inner).join([
+        encode_basestring_ascii(k if type(k) is str else _json_key(k)) + ": " + _json(v, inner)
+        for k, v in sorted(items.items())
+    ])
+    return f"{{\n{inner}{body}\n{pad}}}"
+
+
+def _json_key(key) -> str:
+    """A dict key that is not exactly a str, as json.dumps converts it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_other(value, pad: str) -> str:
+    """_json for values of any other type: numpy values as _native converts
+    them, then subclasses of the JSON types as json.dumps encodes them."""
+    if isinstance(value, np.ndarray):
+        return _json_list(value.tolist(), pad)
+    if isinstance(value, np.generic):
+        native = value.item()
+        if not isinstance(native, np.generic):  # longdouble stays numpy
+            return _json(native, pad)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        return _json_list(value, pad)
+    if isinstance(value, dict):
+        return _json_dict(value, pad)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def digest_bytes(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
@@ -107,10 +199,10 @@ def _curve_block(data: Dataset, result: FitResult | ClusterFitResult) -> dict:
         marginal = marginal + result.tau2 * frac * frac
     half = z * np.sqrt(marginal)
     return {
-        "s": [float(v) for v in s],
-        "mean": [float(v) for v in mu],
-        "lower": [float(v) for v in (mu - half)],
-        "upper": [float(v) for v in (mu + half)],
+        "s": s.tolist(),
+        "mean": mu.tolist(),
+        "lower": (mu - half).tolist(),
+        "upper": (mu + half).tolist(),
     }
 
 
@@ -123,7 +215,8 @@ def fit_block(
     data: Dataset | None = None,
     bootstrap: BootstrapResult | None = None,
 ) -> dict:
-    """One serializable fit record (successful or failed)."""
+    """One serializable fit record (successful or failed), built from plain
+    Python values."""
     block: dict = {
         "label": label,
         "error": error,
@@ -136,57 +229,57 @@ def fit_block(
     block.update(
         {
             "model": result.variance_spec.label(),
-            "vmax": result.params.vmax,
-            "km": result.params.km,
+            "vmax": float(result.params.vmax),
+            "km": float(result.params.km),
             "se_vmax": float(result.se[0]),
             "se_km": float(result.se[1]),
-            "ci_vmax": [result.ci_vmax[0], result.ci_vmax[1]],
-            "ci_km": [result.ci_km[0], result.ci_km[1]],
-            "gamma": result.gamma,
-            "alpha": result.alpha,
+            "ci_vmax": [float(result.ci_vmax[0]), float(result.ci_vmax[1])],
+            "ci_km": [float(result.ci_km[0]), float(result.ci_km[1])],
+            "gamma": float(result.gamma),
+            "alpha": float(result.alpha),
         }
     )
     if isinstance(result, ClusterFitResult):
         block.update(
             {
-                "tau2": result.tau2,
-                "boundary_tau2": result.boundary_tau2,
-                "iterations": result.iterations,
-                "converged": result.converged,
+                "tau2": float(result.tau2),
+                "boundary_tau2": bool(result.boundary_tau2),
+                "iterations": int(result.iterations),
+                "converged": bool(result.converged),
             }
         )
     else:
         block.update(
             {
-                "loglik": result.loglik,
-                "aic": result.aic,
-                "bic": result.bic,
+                "loglik": float(result.loglik),
+                "aic": float(result.aic),
+                "bic": float(result.bic),
                 "converged": error is None,
             }
         )
     if solver is not None:
         block["solver"] = {
-            "bracket": [solver.bracket[0], solver.bracket[1]],
-            "used_root": solver.used_root,
-            "iterations": solver.iterations,
-            "f_at_solution": solver.f_at_solution,
-            "converged": solver.converged,
-            "sign_changes": solver.sign_changes,
+            "bracket": [float(solver.bracket[0]), float(solver.bracket[1])],
+            "used_root": bool(solver.used_root),
+            "iterations": int(solver.iterations),
+            "f_at_solution": float(solver.f_at_solution),
+            "converged": bool(solver.converged),
+            "sign_changes": int(solver.sign_changes),
         }
     if bootstrap is not None:
         block["bootstrap"] = {
-            "ci_vmax": [bootstrap.ci_vmax[0], bootstrap.ci_vmax[1]],
-            "ci_km": [bootstrap.ci_km[0], bootstrap.ci_km[1]],
-            "t_quantiles": [[float(v) for v in row] for row in bootstrap.t_quantiles],
-            "replicates_used": bootstrap.replicates_used,
-            "failures": bootstrap.failures,
+            "ci_vmax": [float(bootstrap.ci_vmax[0]), float(bootstrap.ci_vmax[1])],
+            "ci_km": [float(bootstrap.ci_km[0]), float(bootstrap.ci_km[1])],
+            "t_quantiles": bootstrap.t_quantiles.tolist(),
+            "replicates_used": int(bootstrap.replicates_used),
+            "failures": int(bootstrap.failures),
             "failure_reasons": dict(bootstrap.failure_reasons),
-            "flagged": bootstrap.flagged,
-            "level": bootstrap.level,
+            "flagged": bool(bootstrap.flagged),
+            "level": float(bootstrap.level),
         }
     if data is not None:
         block["curve"] = _curve_block(data, result)
-    return _native(block)
+    return block
 
 
 def screen_blocks(
@@ -219,7 +312,7 @@ def group_document_blocks(result: GroupFitResult) -> tuple[list[dict], dict]:
             for row in result.summary
         ],
     }
-    return fits, _native(panel)
+    return fits, panel
 
 
 @dataclass(eq=False)
@@ -242,18 +335,19 @@ class ReportDocument:
             benchmark=report.canonical_dict(include_timing=include_timing),
         )
 
+    def _fields(self) -> dict:
+        return {
+            "version": self.version,
+            "kind": self.kind,
+            "input_digest": self.input_digest,
+            "fits": self.fits,
+            "panel": self.panel,
+            "benchmark": self.benchmark,
+            "ingest": self.ingest,
+        }
+
     def to_dict(self) -> dict:
-        return _native(
-            {
-                "version": self.version,
-                "kind": self.kind,
-                "input_digest": self.input_digest,
-                "fits": self.fits,
-                "panel": self.panel,
-                "benchmark": self.benchmark,
-                "ingest": self.ingest,
-            }
-        )
+        return _native(self._fields())
 
 
 def _cell(value) -> str:
@@ -369,11 +463,10 @@ def _emit_text(doc: ReportDocument) -> str:
 
 
 def emit_report(doc: ReportDocument, fmt: str = "json") -> bytes:
-    """Serialize a document; JSON output parses back to exactly to_dict()."""
+    """Serialize a document; JSON output is the bytes of
+    json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\\n"."""
     if fmt == "json":
-        return (
-            json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
-        ).encode("utf-8")
+        return (_json(doc._fields(), "") + "\n").encode("utf-8")
     if fmt == "csv":
         return _emit_csv(doc).encode("utf-8")
     if fmt == "text":

@@ -45,7 +45,6 @@ from .core import (
     MMParams,
     VarianceSpec,
     eval_h,
-    mm_mean,
     wald_z,
 )
 from .exceptions import (
@@ -250,32 +249,40 @@ def sym2_inverse(a, b, d):
         return d / det, -b / det, a / det, ok
 
 
-def _information_criteria(s, y, h, params: MMParams, gamma: float):
-    r = y - mm_mean(s, params)
-    n = s.size
-    if gamma == 0.0:
-        if np.any(r != 0.0):
+def _information_criteria(s, h, y, vmax, km, gamma):
+    """Gaussian working log-likelihood, AIC and BIC (lists of Python floats)
+    for row-wise (vmax, km, gamma) and y (rows, n) on a shared design s, h
+    (n,) or per-row ones (rows, n).
+
+    A row with gamma == 0 has loglik = inf when every residual is zero;
+    with a nonzero residual it raises.
+    """
+    r = y - vmax[:, None] * (s / (km[:, None] + s))
+    # gamma == 0 rows take log(0) and 0/0 here and are set below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log((2.0 * np.pi * gamma)[:, None] * h) + r * r / (gamma[:, None] * h)
+    # each row's sum runs over its own contiguous n values, as np.sum of
+    # that row alone does
+    loglik = -0.5 * terms.sum(axis=1)
+    zero = gamma == 0.0
+    if zero.any():
+        if np.any(r[zero] != 0.0):
             # Impossible by construction: gamma is the mean of r^2/h.
             raise MMHetError("internal: zero dispersion with nonzero residuals")
-        loglik = np.inf
-    else:
-        loglik = -0.5 * float(
-            np.sum(np.log(2.0 * np.pi * gamma * h) + r * r / (gamma * h))
-        )
+        loglik[zero] = np.inf
     aic = -2.0 * loglik + 2.0 * N_PARAMS
-    bic = -2.0 * loglik + N_PARAMS * np.log(n)
-    return float(loglik), float(aic), float(bic)
+    bic = -2.0 * loglik + N_PARAMS * np.log(s.shape[-1])
+    return loglik.tolist(), aic.tolist(), bic.tolist()
 
 
-def _fit_result(s, y, h, spec, km, vmax, cov, se, gamma, solver, alpha) -> FitResult:
-    """fit_single's result for one curve s, y, h (n,) from its root km, one
-    row of the plug-in stage (vmax, cov, se, gamma) and its solver
-    diagnostics: the Wald intervals and the information criteria."""
+def _fit_result(spec, km, vmax, cov, se, gamma, loglik, aic, bic, solver, alpha) -> FitResult:
+    """fit_single's result for one curve from its root km, one row of the
+    plug-in stage (vmax, cov, se, gamma), its information criteria and its
+    solver diagnostics: adds the Wald intervals."""
     # copies, so that a kept result does not pin the stage's row arrays
     vmax, gamma, cov, se = float(vmax), float(gamma), cov.copy(), se.copy()
     params = MMParams(vmax, km)
     z = wald_z(alpha)
-    loglik, aic, bic = _information_criteria(s, y, h, params, gamma)
     return FitResult(
         params=params,
         gamma=gamma,
@@ -307,10 +314,14 @@ def fit_single(
     _require_identifiable(s)
     h = eval_h(spec, s)
     km, diag = _solve_km(s, y, h)
-    vmax, cov, se, gamma, failure = _plugin_rows(s, h, y[None, :], np.array([km]))
+    row, kms = y[None, :], np.array([km])
+    vmax, cov, se, gamma, failure = _plugin_rows(s, h, row, kms)
     if failure[0] is not None:
         raise failure[0]
-    result = _fit_result(s, y, h, spec, km, vmax[0], cov[0], se[0], gamma[0], diag, conf.alpha)
+    (loglik,), (aic,), (bic,) = _information_criteria(s, h, row, vmax, kms, gamma)
+    result = _fit_result(
+        spec, km, vmax[0], cov[0], se[0], gamma[0], loglik, aic, bic, diag, conf.alpha
+    )
     if not diag.converged:
         raise NonconvergedFit(
             "profile equation has no root in the bracket and the fallback "
@@ -460,10 +471,14 @@ def _screen_fits(
                 roots = _solve_block(ks, s, h, y, _grid_terms(ks, s, h))
             km = roots.root
             vmax, cov, se, gamma, failure = _plugin_rows(s, h, y, km)
-            for r, (i, j) in enumerate(part):
-                if np.isnan(km[r]) or failure[r] is not None:
-                    refit.append((i, j))
-                    continue
+            kept = ~np.isnan(km) & np.equal(failure, None)
+            refit.extend(pair for pair, ok in zip(part, kept) if not ok)
+            rows = np.flatnonzero(kept)
+            criteria = _information_criteria(
+                s[rows], h[rows], y[rows], vmax[rows], km[rows], gamma[rows]
+            )
+            for r, loglik, aic, bic in zip(rows.tolist(), *criteria):
+                i, j = part[r]
                 # a lockstep bracket closed to its width is a converged root
                 diag = SolverDiagnostics(
                     bracket=brackets[i],
@@ -475,8 +490,8 @@ def _screen_fits(
                 )
                 out[i][j] = (
                     _fit_result(
-                        s[r], y[r], h[r], candidates[j], float(km[r]),
-                        vmax[r], cov[r], se[r], gamma[r], diag, conf.alpha,
+                        candidates[j], float(km[r]), vmax[r], cov[r], se[r], gamma[r],
+                        loglik, aic, bic, diag, conf.alpha,
                     ),
                     None,
                 )
@@ -589,15 +604,16 @@ def group_fit(
         for label, entries in per_label.items()
         if entries and entries[0].rank == 1
     }
+    fitted = [
+        (e.spec.label(), e)
+        for entries in per_label.values()
+        for e in entries
+        if e.error is None and e.result is not None
+    ]
     summary: list[PanelSpecSummary] = []
     for spec in candidates:
         key = spec.label()
-        rows = [
-            e
-            for entries in per_label.values()
-            for e in entries
-            if e.spec.label() == key and e.error is None and e.result is not None
-        ]
+        rows = [e for label, e in fitted if label == key]
         if not rows:
             continue
         summary.append(

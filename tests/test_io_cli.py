@@ -7,8 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mmhet
+from mmhet import cli
 from mmhet import (
     ClusterScenario,
     MMParams,
@@ -282,6 +286,118 @@ def test_fit_block_failure_shape():
     assert block["model"] is None
     assert block["converged"] is False
     assert block["error"] == "boom"
+
+
+def _stdlib_json(doc: ReportDocument) -> bytes:
+    return (json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+# Text with the characters JSON escapes or that JSON syntax uses, and
+# non-ASCII ones (a lone surrogate among them).
+_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028,[]{}: \u00e9\u4e2d\ud800'),
+    max_size=6,
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([
+        float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.2250738585072014e-308,
+        1e308, 1.7976931348623157e308, 0.1,
+    ]),
+)
+# Values the standard library's encoding of to_dict() rejects with TypeError.
+_REJECTED = st.sampled_from([
+    {1, 2}, 1j, b"bytes", object(), np.complex128(1j), np.longdouble(1.5),
+    np.array(0.0), np.array(2.5), {np.int64(1): 0.0}, {(1, 2): 0.0}, {"a": 1, 2: 1},
+])
+_LEAVES = st.one_of(
+    _FLOATS,
+    _TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    _FLOATS.map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+_KEYS = st.one_of(_TEXT, st.integers(), _FLOATS, st.booleans(), st.none())
+_VALUES = st.recursive(
+    _LEAVES | _REJECTED,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES, _TEXT)
+def test_json_emitter_matches_stdlib(value, label):
+    # emit_report walks the document itself; its bytes are the standard
+    # library's encoding of to_dict(), and it raises TypeError on whatever
+    # that encoding rejects.
+    doc = ReportDocument(kind="fit", input_digest=label, fits=[value], panel={label: value})
+    try:
+        want = _stdlib_json(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            emit_report(doc, "json")
+    else:
+        assert emit_report(doc, "json") == want
+
+
+def test_json_emitter_matches_stdlib_on_every_report_kind(tmp_path, monkeypatch, rng):
+    # The documents every command builds: a fit with a bootstrap and a
+    # curve, screening, a group panel with a failed label and a noiseless
+    # one (gamma = 0, so loglik = inf and aic = -inf), a clustered fit and
+    # both benchmark suites.
+    docs = []
+
+    def recording(doc, fmt="json"):
+        if fmt == "json":
+            docs.append(doc)
+        return emit_report(doc, fmt)
+
+    monkeypatch.setattr(cli, "emit_report", recording)
+    curve = _curve_csv(tmp_path, noise=1.5)
+    s = np.geomspace(1.0, 150.0, 12)
+    rows = ["substrate,velocity,group,cluster"]
+    for c in range(4):
+        y = (TRUTH.vmax + rng.normal(0.0, 3.0)) * s / (TRUTH.km + s) + rng.normal(0.0, 1.5, s.size)
+        rows += [f"{float(si)!r},{float(yi)!r},g\u00e9{c},c{c}" for si, yi in zip(s, y)]
+    rows += [f"{float(si)!r},1.0,two levels,c0" for si in (1.0, 1.0, 2.0, 2.0)]
+    s5 = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    rows += [f"{si!r},{si / (1.0 + si)!r},noiseless,c0" for si in s5.tolist()]
+    panel = _write(tmp_path, "panel.csv", "\n".join(rows) + "\n")
+    out = ["--format", "json", "--out", str(tmp_path / "out.json")]
+    commands = [
+        ["fit", "--input", curve, "--variance", "pow:0.5", "--bootstrap", "99", *out],
+        ["screen", "--input", curve, *out],
+        ["group", "--input", panel, *out],
+        ["cluster", "--input", panel, "--variance", "pow:0.5", *out],
+        ["benchmark", "--suite", "single", "--replications", "5", "--out", str(tmp_path / "s")],
+        ["benchmark", "--suite", "clustered", "--replications", "5", "--out", str(tmp_path / "c")],
+    ]
+    assert [cli_dispatch(argv) for argv in commands] == [EXIT_OK] * len(commands)
+    assert [doc.kind for doc in docs] == [
+        "fit", "screen", "group", "cluster", "benchmark", "benchmark"
+    ]
+    for doc in docs:
+        assert emit_report(doc, "json") == _stdlib_json(doc)
+    fit, _, group = (doc.to_dict() for doc in docs[:3])
+    assert "bootstrap" in fit["fits"][0] and "curve" in fit["fits"][0]
+    blocks = {b["label"]: b for b in group["fits"] if b["rank"] in (None, 1)}
+    assert blocks["two levels"]["model"] is None and blocks["two levels"]["error"]
+    assert blocks["noiseless"]["gamma"] == 0.0 and blocks["noiseless"]["aic"] == -np.inf
+    assert b"-Infinity" in emit_report(docs[2], "json")
 
 
 # --- CLI ---------------------------------------------------------------------------

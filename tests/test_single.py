@@ -497,6 +497,71 @@ def test_screen_models_is_group_fit_of_one():
             assert _fit_numbers(a.result).tobytes() == _fit_numbers(b.result).tobytes()
 
 
+def _scalar_information_criteria(s, y, h, vmax, km, gamma):
+    """Reference: the one-curve information criteria, written with scalars."""
+    r = y - mm_mean(s, MMParams(vmax, km))
+    if gamma == 0.0:
+        assert not np.any(r != 0.0)
+        loglik = np.inf
+    else:
+        loglik = -0.5 * float(np.sum(np.log(2.0 * np.pi * gamma * h) + r * r / (gamma * h)))
+    return [float(loglik), float(-2.0 * loglik + 6.0), float(-2.0 * loglik + 3 * np.log(s.size))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_information_criteria_rows_match_one_row_calls():
+    # Screening computes loglik, aic and bic for a whole block of rows in one
+    # call; each row's values are those of fit_single's one-row call at the
+    # same (vmax, km, gamma), and of the scalar formula, bit for bit.  The
+    # last label is noiseless under pow:0.333333: gamma = 0, loglik = inf.
+    panel = _mixed_panel()
+    s5 = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    panel["noiseless"] = Dataset(s5, s5 / (1.0 + s5))
+    out = group_fit(panel)
+    checked = 0
+    for label, entries in out.per_label.items():
+        data = panel[label]
+        for e in entries:
+            if e.result is None:
+                continue
+            res = e.result
+            one_row = single._information_criteria(
+                data.s, eval_h(e.spec, data.s), data.y[None, :],
+                np.array([res.params.vmax]), np.array([res.params.km]), np.array([res.gamma]),
+            )
+            want = [float.hex(v[0]) for v in one_row]
+            assert [float.hex(v) for v in (res.loglik, res.aic, res.bic)] == want, (label, e.spec)
+            scalar = _scalar_information_criteria(
+                data.s, data.y, eval_h(e.spec, data.s), res.params.vmax, res.params.km, res.gamma
+            )
+            assert [float.hex(v) for v in scalar] == want, (label, e.spec)
+            checked += 1
+    assert checked >= 9 * len(DEFAULT_CANDIDATES)
+    noiseless = {e.spec.label(): e.result for e in out.per_label["noiseless"]}
+    assert noiseless["pow:0.333333"].gamma == 0.0
+    assert noiseless["pow:0.333333"].loglik == np.inf
+    assert noiseless["pow:0.333333"].aic == -np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_information_criteria_zero_dispersion_rule():
+    # gamma == 0 with every residual zero is a perfect fit (loglik = inf);
+    # with a nonzero residual it contradicts gamma = mean(r^2 / h) and raises.
+    s = np.array([1.0, 2.0, 4.0, 8.0])
+    h = np.sqrt(s)
+    exact = 3.0 * (s / (2.0 + s))
+    y = np.stack([exact, exact + np.array([0.0, 0.5, -0.5, 0.0])])
+    vmax, km = np.array([3.0, 3.0]), np.array([2.0, 2.0])
+    gamma = np.array([0.0, 0.125])
+    loglik, aic, bic = single._information_criteria(s, h, y, vmax, km, gamma)
+    assert loglik[0] == np.inf and aic[0] == bic[0] == -np.inf
+    assert [float.hex(v) for v in (loglik[1], aic[1], bic[1])] == [
+        float.hex(v) for v in _scalar_information_criteria(s, y[1], h, 3.0, 2.0, 0.125)
+    ]
+    with pytest.raises(MMHetError, match="zero dispersion with nonzero residuals"):
+        single._information_criteria(s, h, y[1:], vmax[1:], km[1:], np.array([0.0]))
+
+
 # --- batched rows ---------------------------------------------------------------
 
 
