@@ -6,7 +6,9 @@ bench/workloads.py (``prepare(seed)``), runs each call through
 report bytes: the ``fit``, ``group`` and ``cluster`` calls run once per
 report format (json, csv, text), and each ``benchmark`` call writes its
 JSON and CSV files.  Two versions of the package that print the same
-digest for the same seeds write the same reports, byte for byte.
+digest for the same seeds write the same reports, byte for byte.  One
+more line per workload digests that workload's share of the same bytes,
+so a change that moves one workload's reports shows which others hold.
 
     PYTHONPATH=src python3 scripts/report_digest.py 3 11
 """
@@ -39,7 +41,8 @@ def main() -> int:
     parser.add_argument("seeds", type=int, nargs="+")
     args = parser.parse_args()
     digest = hashlib.sha256()
-    reports = 0
+    by_workload = {name: hashlib.sha256() for name in WORKLOADS}
+    counts = dict.fromkeys(WORKLOADS, 0)
     for seed in args.seeds:
         for name, workload in WORKLOADS.items():
             with tempfile.TemporaryDirectory() as workdir:
@@ -48,12 +51,18 @@ def main() -> int:
                         for path in paths:
                             path.unlink(missing_ok=True)
                         code = cli_dispatch(argv)
-                        digest.update(f"{seed} {name} {' '.join(argv[:1])} exit {code}\n".encode())
+                        chunks = [f"{seed} {name} {' '.join(argv[:1])} exit {code}\n".encode()]
                         for path in paths:
                             payload = path.read_bytes() if path.is_file() else b"<none>"
-                            digest.update(len(payload).to_bytes(8, "little") + payload)
-                            reports += path.is_file()
-    print(f"report digest (seeds {' '.join(map(str, args.seeds))}, {reports} reports): "
+                            chunks.append(len(payload).to_bytes(8, "little") + payload)
+                            counts[name] += path.is_file()
+                        for chunk in chunks:
+                            digest.update(chunk)
+                            by_workload[name].update(chunk)
+    seeds = " ".join(map(str, args.seeds))
+    for name, part in by_workload.items():
+        print(f"  {name} (seeds {seeds}, {counts[name]} reports): {part.hexdigest()}")
+    print(f"report digest (seeds {seeds}, {sum(counts.values())} reports): "
           f"{digest.hexdigest()}")
     return 0
 

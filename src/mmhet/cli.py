@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .cluster import fit_clustered
-from .core import DEFAULT_CANDIDATES, VarianceSpec
+from .core import DEFAULT_CANDIDATES, VarianceSpec, check_candidates
 from .dataio import IngestOptions, InputTable, ingest_csv
 from .exceptions import (
     AllCandidatesFailed,
@@ -69,10 +69,10 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@_checked
 def _candidate_list(text: str) -> tuple[VarianceSpec, ...]:
     specs = tuple(VarianceSpec.parse(tok) for tok in text.split(",") if tok.strip())
-    if not specs:
-        raise ValueError("empty candidate list")
+    check_candidates(specs)
     return specs
 
 

@@ -35,12 +35,12 @@ computed), the damped steps of the replayed iterations added in, and
 ``cycle = (i, j - i)``.  Its result is the one iterating to MAX_ITER gives,
 bit for bit.
 
-``fit_clustered_rows`` runs the same alternation for many panels that share
-one stacked design and cluster layout (the clustered Monte Carlo suite's
-replicates): from the caller's pooled fits, a per-cluster grid scan of the
-score for all rows, the lockstep root stage, and row-wise moments, damping
-and covariance.  Rows it cannot carry to convergence go back to
-``fit_clustered`` one by one, so it returns every row's final outcome.
+``fit_clustered_rows`` fits many panels that share one stacked design and
+cluster layout (the clustered Monte Carlo suite's balanced replicates, where
+GLS equals the pooled weighted fit): from the caller's pooled fits, all rows
+take the first iteration together, with the lockstep root stage and row-wise
+moments and covariance.  Rows it does not converge go to ``fit_clustered``,
+the one alternation, so it returns every row's final outcome.
 """
 
 from __future__ import annotations
@@ -479,7 +479,8 @@ class ClusterRowFits:
     tau2: np.ndarray  # (rows,)
     converged: np.ndarray  # (rows,) bool, False where the fit raised
     failure: np.ndarray  # exception-class name fit_clustered raises, else None
-    iterations: np.ndarray  # (rows,) alternation iterations; 0 where the fit raised
+    # (rows,) 1 where the lockstep step converged, else fit_clustered's; 0 where it raised
+    iterations: np.ndarray
     fallback: np.ndarray  # (rows,) bool, True where the row went to fit_clustered
 
 
@@ -506,26 +507,6 @@ def _moment_rows(s, h, starts, y, vmax, km, floor):
         gamma = np.maximum(floor, ((r * r - tau2[:, None] * zz) / h).sum(axis=1) / s.size)
     valid = (den > 0.0) & np.isfinite(tau2) & np.isfinite(gamma)
     return tau2, gamma, valid
-
-
-def _neg2_loglik_rows(s, h, starts, y, vmax, km, tau2, gamma):
-    """_neg2_working_loglik for row-wise parameters and y (rows, N)."""
-    z = s / (km[:, None] + s)
-    r = y - vmax[:, None] * z
-    ginv = 1.0 / (gamma[:, None] * h)
-    w = z * ginv
-    a2 = np.add.reduceat(w * z, starts, axis=1)
-    t2 = tau2[:, None]
-    quad = np.add.reduceat(r * r * ginv, starts, axis=1) - t2 / (1.0 + t2 * a2) * (
-        np.add.reduceat(w * r, starts, axis=1) ** 2
-    )
-    sizes = np.diff(np.append(starts, s.size))
-    logdet = (
-        sizes * np.log(gamma)[:, None]
-        + np.add.reduceat(np.log(h), starts)
-        + np.log1p(t2 * a2)
-    )
-    return (quad + logdet).sum(axis=1)
 
 
 def _score_grid(ks, s, h, starts, y, tau2, gamma):
@@ -610,12 +591,12 @@ def fit_clustered_rows(
 
     ``pooled`` (rows, 2) holds each row's pooled (vmax, km) fit under spec,
     NaN where it failed, as single.fit_rows(s, y, spec).theta returns them;
-    fit_clustered starts from the same fit.  Rows then alternate in
-    lockstep, BLOCK_ROWS at a time: a grid scan and solve_rows for the km
-    roots, the moment update, the damping rule and the change test, with
-    converged rows dropping out.  Rows without a pooled start, a bracket, a
-    positive vmax or finite moments, and rows still open at MAX_ITER, are
-    fit one by one through fit_clustered.
+    fit_clustered starts from the same fit.  Rows then take its first
+    iteration together, BLOCK_ROWS at a time: a grid scan and solve_rows for
+    the km roots, then the moment update and the change test, undamped (from
+    a pooled start the damping rule moves only rounding).  Rows that do not
+    pass, and rows without a pooled start, a bracket, a positive vmax or
+    finite moments, are fit one by one through fit_clustered.
     """
     s = np.asarray(s, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.intp)
@@ -642,9 +623,7 @@ def fit_clustered_rows(
         fallback.extend(live[~valid])
         live, floor = live[valid], floor[valid]
         vmax, km, t2, g = vmax[valid], km[valid], t2[valid], g[valid]
-        for it in range(1, MAX_ITER + 1):
-            if live.size == 0:
-                break
+        if live.size:
             yl = y[live]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 values = _score_grid(ks, s, h, starts, yl, t2, g)
@@ -661,28 +640,18 @@ def fit_clustered_rows(
                 new_vmax[rooted] = sums(new_km[rooted], rooted)[0]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 new_t2, new_g, valid = _moment_rows(s, h, starts, yl, new_vmax, new_km, floor)
-                valid &= np.isfinite(new_vmax) & (new_vmax > 0)
-                worse = _neg2_loglik_rows(
-                    s, h, starts, yl, new_vmax, new_km, new_t2, new_g
-                ) > _neg2_loglik_rows(s, h, starts, yl, new_vmax, new_km, t2, g)
-            new_t2 = np.where(worse, t2 + DAMPING * (new_t2 - t2), new_t2)
-            new_g = np.where(worse, g + DAMPING * (new_g - g), new_g)
             change = np.maximum.reduce([
                 _rel_change_rows(vmax, new_vmax),
                 _rel_change_rows(km, new_km),
                 _rel_change_rows(t2, new_t2),
                 _rel_change_rows(g, new_g),
             ])
-            done = valid & (change < REL_TOL)
+            done = valid & np.isfinite(new_vmax) & (new_vmax > 0) & (change < REL_TOL)
             at = live[done]
-            iterations[at] = it
+            iterations[at] = 1
             theta[at] = np.column_stack([new_vmax[done], new_km[done]])
             tau2[at], gamma[at] = new_t2[done], new_g[done]
-            fallback.extend(live[~valid])
-            keep = valid & ~done
-            live, floor, vmax, km = live[keep], floor[keep], new_vmax[keep], new_km[keep]
-            t2, g = new_t2[keep], new_g[keep]
-        fallback.extend(live)  # still open at MAX_ITER
+            fallback.extend(live[~done])
 
         at = first + np.flatnonzero(np.isfinite(theta[first:first + block]).all(axis=1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -96,6 +96,17 @@ DEFAULT_CANDIDATES: tuple[VarianceSpec, ...] = (
 )
 
 
+def check_candidates(candidates) -> None:
+    """Raise ValueError unless the candidate specs are nonempty and their
+    labels distinct: screening reports and summaries key each model by its
+    label()."""
+    if not candidates:
+        raise ValueError("need at least one candidate variance spec")
+    labels = [spec.label() for spec in candidates]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"candidate labels repeat: {','.join(labels)}")
+
+
 def eval_h(spec: VarianceSpec, s):
     """Evaluate h(s) under ``spec``, floored at H_FLOOR.  Vectorized over s."""
     arr = np.asarray(s, dtype=np.float64)

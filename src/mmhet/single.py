@@ -44,6 +44,7 @@ from .core import (
     Dataset,
     MMParams,
     VarianceSpec,
+    check_candidates,
     eval_h,
     wald_z,
 )
@@ -543,10 +544,10 @@ def screen_models(
 
     Failed candidates are reported with their error at the end of the list
     rather than dropped.  Raises AllCandidatesFailed when nothing fits.
-    The fits are group_fit's batched stage on a panel of one.
+    The fits are group_fit's batched stage on a panel of one.  Raises
+    ValueError when candidates is empty or two of its labels coincide.
     """
-    if not candidates:
-        raise ValueError("need at least one candidate variance spec")
+    check_candidates(candidates)
     conf = conf if conf is not None else FitConfig()
     return _rank(candidates, _screen_fits([data], candidates, conf)[0])
 
@@ -584,11 +585,11 @@ def group_fit(
     alone.  A label whose screening fails entirely is isolated into
     label_errors; the others are unaffected.  The summary averages AIC/BIC and point
     estimates per candidate over the labels where that candidate fit.
+    Candidates are checked as in screen_models.
     """
     if not panel:
         raise ValueError("panel must contain at least one labeled dataset")
-    if not candidates:
-        raise ValueError("need at least one candidate variance spec")
+    check_candidates(candidates)
     conf = conf if conf is not None else FitConfig()
     per_label: dict[str, list[ScreenEntry]] = {}
     label_errors: dict[str, str] = {}

@@ -18,6 +18,7 @@ from mmhet import rootfind
 from mmhet.cluster import (
     GAMMA_FLOOR_REL,
     MAX_ITER,
+    _covariance_rows,
     _loadings,
     _moment_update,
     _prepare,
@@ -31,6 +32,7 @@ from mmhet.cluster import (
 )
 from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
+from mmhet.simbench import DEFAULT_MASTER_SEED
 from mmhet.single import _plugin_cov_rows, fit_rows
 from oracles import (
     dense_solve,
@@ -174,15 +176,33 @@ def test_zero_tau2_covariance_matches_single_curve(rng):
 def test_cluster_covariance_matches_long_double_oracle():
     # A dense long-double inverse of every V_i.  At moderate tau2 * z'Ginv z
     # the rank-one downdate keeps ~1e-15; at large values it loses digits
-    # (ROADMAP item 3), which this check would show.
+    # (5e-9 at tau2 = 1e5, gamma = 1e-2), so it is checked at moderate tau2
+    # only.  _covariance_rows, the form the clustered suite reports, keeps
+    # ~3e-13 there as well.
     data = generate_clustered(ClusterScenario(m=6), 0)
-    tau2, gamma = 2.0, 1.5
-    got = cluster_covariance(_prepare(*_stack(data), POW_HALF), TRUTH, tau2, gamma)
-    want = long_double_cluster_covariance(
-        [c.s for c in data.clusters], TRUTH.vmax, TRUTH.km, tau2, gamma,
-        lambda s: eval_h(POW_HALF, s),
-    )
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    panel = _prepare(*_stack(data), POW_HALF)
+
+    def oracle(tau2, gamma):
+        return long_double_cluster_covariance(
+            [c.s for c in data.clusters], TRUTH.vmax, TRUTH.km, tau2, gamma,
+            lambda s: eval_h(POW_HALF, s),
+        )
+
+    def rows(tau2, gamma):
+        cov, ok = _covariance_rows(
+            panel.s, panel.h, panel.starts, np.array([TRUTH.vmax]),
+            np.array([TRUTH.km]), np.array([tau2]), np.array([gamma]),
+        )
+        assert ok.tolist() == [True]
+        return cov[0]
+
+    def rel_err(got, want):
+        return np.max(np.abs(got - want) / np.abs(want))
+
+    want = oracle(2.0, 1.5)
+    assert rel_err(cluster_covariance(panel, TRUTH, 2.0, 1.5), want) <= 1e-13
+    assert rel_err(rows(2.0, 1.5), want) <= 1e-13
+    assert rel_err(rows(1e5, 1e-2), oracle(1e5, 1e-2)) <= 1e-11
 
 
 # --- full fit ---------------------------------------------------------------------
@@ -268,13 +288,15 @@ def test_balanced_design_converges_immediately(rng):
     assert res.params.km == pytest.approx(pooled.params.km, rel=1e-7)
 
 
-def test_balanced_suite_panels_stop_at_the_pooled_fit():
+@pytest.mark.parametrize("master_seed", [DEFAULT_MASTER_SEED, 0, 5])
+def test_balanced_suite_panels_stop_at_the_pooled_fit(master_seed):
     # On the clustered suite's balanced panels z = dmu/dvmax is a column of
     # the mean Jacobian, so GLS equals the pooled weighted fit (a Kruskal
     # 1968-type identity): the first GLS profile re-finds the pooled root and
-    # the alternation stops after one iteration.
+    # the alternation stops after one iteration.  fit_clustered_rows takes
+    # only that iteration in lockstep.
     for m in (3, 6):
-        sc = ClusterScenario(m=m)
+        sc = ClusterScenario(m=m, master_seed=master_seed)
         for r in range(50):
             data = generate_clustered(sc, r)
             res = fit_clustered(data, POW_HALF)
@@ -415,15 +437,22 @@ def test_cycle_replay_matches_the_plain_alternation(seed):
 
 
 def test_fit_clustered_rows_report_iterations_and_fallback():
-    # The stalled panel is still open at MAX_ITER in the lockstep stage and
-    # goes to fit_clustered; the ordinary one finishes in lockstep.
-    for seed, fallback in ((1, False), (34, True)):
+    # The lockstep stage takes one iteration.  These unbalanced panels are
+    # still moving after it (seed 1 converges after 9 iterations, seed 34
+    # stalls until MAX_ITER), so each goes to fit_clustered, whose result
+    # the row reports bit for bit.
+    for seed in (1, 34):
         data = _plate_panel(seed)
         s, starts, y = _stack(data)
         y = y[None, :]
         rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
-        assert rows.fallback.tolist() == [fallback]
-        assert rows.iterations.tolist() == [fit_clustered(data, POW_HALF).iterations]
+        one = fit_clustered(data, POW_HALF)
+        assert rows.fallback.tolist() == [True]
+        got = np.hstack([rows.theta[0], rows.se[0], rows.gamma, rows.tau2])
+        want = np.hstack([one.params.as_array(), one.se, one.gamma, one.tau2])
+        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
+        assert rows.iterations.tolist() == [one.iterations]
+        assert rows.converged.tolist() == [one.converged]
 
 
 def _score_reference(ks, s, y, h, starts, tau2, gamma):

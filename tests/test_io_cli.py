@@ -553,6 +553,11 @@ def test_cli_screen_and_group(tmp_path, rng):
     assert set(doc["panel"]["best_by_label"]) == {"g0", "g1"}
     assert doc["panel"]["summary"]
 
+    # candidate lists whose labels repeat are usage errors
+    for text in ("pow:0.3333333,pow:0.33333333", "pow:0.5,pow:0.5"):
+        for command in ("screen", "group"):
+            assert cli_dispatch([command, "--input", path, "--candidates", text]) == EXIT_USAGE
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):

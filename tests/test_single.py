@@ -348,6 +348,21 @@ def test_screen_rejects_empty_candidates(rng):
         screen_models(_noisy(rng), candidates=())
 
 
+# Each list names one label twice (pow:0.333333, pow:0.5).  Reports and the
+# group summary key models by label(), so each fit would be counted twice.
+REPEATED_LABELS = ("pow:0.3333333,pow:0.33333333", "pow:0.5,pow:0.5")
+
+
+@pytest.mark.parametrize("text", REPEATED_LABELS)
+def test_screening_rejects_repeated_candidate_labels(rng, text):
+    candidates = [VarianceSpec.parse(tok) for tok in text.split(",")]
+    data = _noisy(rng)
+    with pytest.raises(ValueError, match="labels repeat"):
+        screen_models(data, candidates)
+    with pytest.raises(ValueError, match="labels repeat"):
+        group_fit({"a": data, "b": _noisy(rng)}, candidates)
+
+
 def test_group_fit_isolates_broken_label(rng):
     good1 = _noisy(rng, POW_HALF)
     good2 = _noisy(rng, POW_HALF)
