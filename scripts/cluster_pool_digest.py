@@ -8,13 +8,17 @@ class name where the fit raises).  Two versions of the package that print
 the same digest return the same results, bit for bit, on the whole pool.
 
 ``cycle`` is summarised on its own line rather than digested, so versions
-with and without that field give comparable digests.
+with and without that field give comparable digests.  Two more lines give
+the number of panels whose ``gamma`` ends at its floor and the pass's wall
+time, with the machine's core count (the pass runs in one process).
 
     PYTHONPATH=src python3 scripts/cluster_pool_digest.py
 """
 
 import hashlib
+import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import CLUSTER_POOL_SIZE, make_cluster_panel  # noqa: E402
 
 from mmhet import ClusteredDataset, VarianceSpec, fit_clustered  # noqa: E402
+from mmhet.cluster import GAMMA_FLOOR_REL  # noqa: E402
 from mmhet.core import MMParams  # noqa: E402
 from mmhet.exceptions import MMHetError  # noqa: E402
 
@@ -39,30 +44,37 @@ def _numbers(value) -> list[float]:
     return [float(v) for v in np.ravel(value)]
 
 
-def panel_record(index: int) -> tuple[str, tuple[int, int] | None]:
-    """Panel ``index``'s digest line and its cycle (None if it has none)."""
+def panel_record(index: int) -> tuple[str, tuple[int, int] | None, bool]:
+    """Panel ``index``'s digest line, its cycle (None if it has none) and
+    whether its gamma ends at the floor."""
     rows = [(c, s, v) for c, s, v in make_cluster_panel(index) if not np.isnan(v)]
     labels, s, y = zip(*rows)
+    data = ClusteredDataset.from_labels(s, y, labels)
     try:
-        res = fit_clustered(ClusteredDataset.from_labels(s, y, labels), SPEC)
+        res = fit_clustered(data, SPEC)
     except MMHetError as err:
-        return f"{index}:{type(err).__name__}", None
+        return f"{index}:{type(err).__name__}", None, False
     values = [
         float.hex(v)
         for f in fields(res) if f.name != "cycle"
         for v in _numbers(getattr(res, f.name))
     ]
-    return f"{index}:" + ",".join(values), getattr(res, "cycle", None)
+    at_floor = res.gamma == GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    return f"{index}:" + ",".join(values), getattr(res, "cycle", None), at_floor
 
 
 def main() -> int:
     digest = hashlib.sha256()
     cycles = []
+    floored = 0
+    started = time.perf_counter()
     for index in range(CLUSTER_POOL_SIZE):
-        line, cycle = panel_record(index)
+        line, cycle, at_floor = panel_record(index)
         digest.update(line.encode("ascii") + b"\n")
         if cycle is not None:
             cycles.append(cycle)
+        floored += at_floor
+    wall = time.perf_counter() - started
     print(f"pool digest ({CLUSTER_POOL_SIZE} panels): {digest.hexdigest()}")
     if cycles:
         first, period = np.array(cycles).T
@@ -71,6 +83,8 @@ def main() -> int:
             f"{first.min()}-{first.max()} (median {np.median(first):g}); "
             f"period {period.min()}-{period.max()} (median {np.median(period):g})"
         )
+    print(f"gamma at its floor: {floored} panels")
+    print(f"wall time: {wall:.1f} s in one process, {os.cpu_count()} cores")
     return 0
 
 

@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -288,10 +289,16 @@ def _cmd_benchmark(ns) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first cli_dispatch call and kept
+    for the process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def cli_dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

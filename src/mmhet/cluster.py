@@ -17,11 +17,13 @@ products, and the two blocks are alternated to a fixed point.
 
 A fit builds its panel's stacked arrays, h, the per-cluster log h sums, the
 km grid and the loadings on it once (``_PreparedPanel``).  Each iteration
-then solves km on that grid, with the score's value alone at every Brent
-step and the grid scan's values at the bracket's ends, takes the plug-in
-vmax from the sums of the root's convergence test, and reuses the moment
-update's residuals and loadings in both working likelihoods of the damping
-rule.
+then solves km on that grid, scanning it upward to SCAN_AHEAD points past
+the last km first and the rest only when no root lies below, with the
+score's value alone at every Brent step and the grid scan's values at the
+bracket's ends.  It takes the plug-in vmax and the root's convergence test
+from the sums of the Brent step that reached the root, and reuses the
+moment update's residuals and loadings in both working likelihoods of the
+damping rule.
 
 An iteration is a function of the (tau2, gamma) it starts from alone.  So
 when iteration j starts from the exact bits iteration i < j started from and
@@ -82,6 +84,11 @@ GAMMA_FLOOR_REL = 1e-12
 MAX_ITER = 200
 REL_TOL = 1e-8
 DAMPING = 0.5
+
+# Grid points past the last km that an iteration's km solve scans before
+# the rest of the grid (see solve_scalar's scan_to); the root is the same
+# for any value.
+SCAN_AHEAD = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,34 +238,36 @@ def _score_terms(vhat, a1, a2, c, q1, q2) -> tuple[float, float]:
 
 
 def gls_km_profile(
-    panel: _PreparedPanel, tau2: float, gamma: float
+    panel: _PreparedPanel, tau2: float, gamma: float, scan_to: int | None = None
 ) -> tuple[float, float, SolverDiagnostics]:
     """Solve the km component of the stacked GLS score at fixed (tau2, gamma).
 
     Uses the same log-grid bracket plus Brent/golden machinery as the
-    single-curve solve; the grid scan reads the panel's loadings.  Returns
-    (km, vmax, diagnostics).
+    single-curve solve, scanning panel.ks up to ``scan_to`` first (see
+    solve_scalar); the grid scan reads the panel's loadings.  Returns (km,
+    vmax, diagnostics), bit for bit the same for every ``scan_to`` but for
+    the diagnostics' sign_changes.
     """
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma!r}")
-    s, y, starts = panel.s, panel.y, panel.starts
+    s, y, starts, ks = panel.s, panel.y, panel.starts, panel.ks
     ginv = 1.0 / (gamma * panel.h)
+    seen = {}  # the sums at each float k evaluated, for terms and vhat
 
     def sums(k):
-        # solve_scalar passes an array only for its scan of panel.ks
-        z, e = panel.loadings if isinstance(k, np.ndarray) else _loadings(k, s)
-        return _score_sums(z, e, y, ginv, starts, tau2)
-
-    at_root = {}  # the sums of terms' one call, at the k solve_scalar returns
-
-    def terms(k):
-        at_root[k] = sums(k)
-        return _score_terms(*at_root[k])
+        if isinstance(k, np.ndarray):  # a run of the grid, from solve_scalar's scan
+            lo = ks.searchsorted(k[0])
+            z, e = (a[lo:lo + k.size] for a in panel.loadings)
+            return _score_sums(z, e, y, ginv, starts, tau2)
+        if k not in seen:
+            seen[k] = _score_sums(*_loadings(k, s), y, ginv, starts, tau2)
+        return seen[k]
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        km, diag = solve_scalar(lambda k: _score(*sums(k)), terms, panel.ks)
-        # an exact zero on the grid is returned without a terms call
-        vhat = (at_root.get(km) or sums(km))[0]
+        km, diag = solve_scalar(
+            lambda k: _score(*sums(k)), lambda k: _score_terms(*sums(k)), ks, scan_to
+        )
+        vhat = sums(km)[0]
     return km, float(vhat), diag
 
 
@@ -287,15 +296,19 @@ def _moment_update(
     s = panel.s
     z = s / (params.km + s)
     r = panel.y - params.vmax * z
-    rz = r * z
-    zz = z * z
-    rz2 = rz * rz
-    zz2 = zz * zz
+    # rows rz, (rz)^2, zz, (zz)^2, summed per cluster in one call each
+    q = np.empty((4, s.size))
+    rz, rz2, zz, zz2 = q
+    np.multiply(r, z, out=rz)
+    np.multiply(z, z, out=zz)
+    np.multiply(rz, rz, out=rz2)
+    np.multiply(zz, zz, out=zz2)
     num = 0.0
     den = 0.0
     for lo, hi in panel.bounds:
-        num += (float(rz[lo:hi].sum()) ** 2 - float(rz2[lo:hi].sum())) / 2.0
-        den += (float(zz[lo:hi].sum()) ** 2 - float(zz2[lo:hi].sum())) / 2.0
+        a, a2, b, b2 = q[:, lo:hi].sum(axis=1).tolist()
+        num += (a ** 2 - a2) / 2.0
+        den += (b ** 2 - b2) / 2.0
     if den <= 0.0:
         raise InsufficientReplication(
             "off-diagonal moment denominator vanished (no usable pairs)"
@@ -411,7 +424,8 @@ def _fit_stacked(
     trail = []  # iteration k's (params, tau2, gamma, truncated, damped) at k - 1
     for iterations in range(1, MAX_ITER + 1):
         first = started.setdefault(struct.pack("<2d", tau2, gamma), iterations)
-        km, vmax, diag = gls_km_profile(panel, tau2, gamma)
+        scan_to = int(panel.ks.searchsorted(params.km)) + SCAN_AHEAD
+        km, vmax, diag = gls_km_profile(panel, tau2, gamma, scan_to)
         if not np.isfinite(vmax) or vmax <= 0:
             raise DegenerateDesign(
                 f"GLS plug-in vmax = {vmax!r}; data are not consistent with "
@@ -663,6 +677,7 @@ def fit_clustered_rows(
         theta[at[~ok]] = np.nan
         tau2[at[~ok]] = gamma[at[~ok]] = np.nan
         failure[at[~ok]] = SingularInformation.__name__
+        iterations[at[~ok]] = 0
 
     for i in fallback:
         try:

@@ -2,14 +2,19 @@
 
 Both the single-curve profile equation and the clustered GLS score reduce to
 one scalar equation in the half-saturation constant.  The search strategy is
-shared: evaluate on a geometric grid, bracket the first sign change scanning
-upward from the left endpoint, and refine it with Brent's method (``_brent``,
-a step-for-step port of the classic inverse-interpolation/bisection hybrid;
-Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4).  If
-no sign change exists, fall back to golden-section minimization of the
-squared equation on the log scale.  numpy is the only dependency.
+shared: evaluate on a geometric grid and apply the root rule, then refine a
+bracket with Brent's method (``_brent``, a step-for-step port of the classic
+inverse-interpolation/bisection hybrid; Brent 1973, *Algorithms for
+Minimization without Derivatives*, ch. 4).  If the grid holds no root, fall
+back to golden-section minimization of the squared equation on the log
+scale.  numpy is the only dependency.
 
-``solve_rows`` applies the same bracket policy to many equations at once,
+The root rule: scanning the grid's finite values upward from the left
+endpoint, the first exact zero or sign change between consecutive values
+decides.  A zero is the root as it stands; a sign change is the bracket to
+refine.  A zero above the first sign change does not count.
+
+``solve_rows`` applies the same root rule to many equations at once,
 on one shared grid (the wild bootstrap's refits over one design) or on one
 grid per row (screening, where every curve has its own bracket), refining
 every bracket in lockstep with a safeguarded Illinois step.  Rows it cannot
@@ -83,36 +88,41 @@ def solve_scalar(
     evaluate: Callable,
     terms: Callable[[float], tuple[float, float]],
     ks: np.ndarray,
+    scan_to: int | None = None,
 ) -> tuple[float, SolverDiagnostics]:
     """Locate a root of a scalar profile equation on the grid ks (log_grid),
-    whose endpoints are the bracket.
+    whose endpoints are the bracket, by the root rule (module docstring).
 
-    ``evaluate(k)`` is the equation's value: an array over an array of k
-    values (the grid scan), one value at a float k (the Brent and golden
-    steps).  The two must agree bit for bit at the grid's points: Brent
-    takes its bracket's end values from the scan.  ``terms(k)`` is the
-    (value, scale) pair at one k, with scale the natural magnitude of the
-    equation there; only the relative |F| convergence test at the returned
-    k reads it.
+    ``evaluate(k)`` is the equation's value: an array over a run of the grid
+    (the scan), one value at a float k (the Brent and golden steps).  The
+    two must agree bit for bit at the grid's points: Brent takes its
+    bracket's end values from the scan.  ``terms(k)`` is the (value, scale)
+    pair at one k, with scale the natural magnitude of the equation there;
+    only the relative |F| convergence test at the returned k reads it.
+
+    The scan evaluates ``ks[:scan_to]`` first, and the rest of the grid only
+    when that prefix holds no root: the prefix's first root is the grid's,
+    so the result does not depend on ``scan_to``, except that
+    ``sign_changes`` counts the scanned points only.  Without ``scan_to``
+    the whole grid is one run.
     """
     k_lo, k_hi = float(ks[0]), float(ks[-1])
-    values = evaluate(ks)
-    finite = np.isfinite(values)
-    if not finite.any():
+    cut = ks.size if scan_to is None else min(max(scan_to, 1), ks.size)
+    values = evaluate(ks[:cut])
+    idx, vals, flips, zeros = _grid_roots(values)
+    if cut < ks.size and not (flips.size or zeros.size):
+        values = np.concatenate([values, evaluate(ks[cut:])])
+        idx, vals, flips, zeros = _grid_roots(values)
+    if not idx.size:
         raise NoFiniteEvaluation(
             "profile equation is non-finite at every grid point"
         )
-
-    idx = np.flatnonzero(finite)
-    vals = values[idx]
-    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     diagnostics = partial(
         SolverDiagnostics, bracket=(k_lo, k_hi), sign_changes=int(flips.size)
     )
 
-    # An exact zero on the grid is already a root.
-    zeros = np.flatnonzero(vals == 0.0)
-    if zeros.size:
+    # A zero below the first sign change is the root as it stands.
+    if zeros.size and not (flips.size and flips[0] < zeros[0]):
         k = float(ks[idx[zeros[0]]])
         return k, diagnostics(
             used_root=True, iterations=0, f_at_solution=0.0, converged=True
@@ -122,7 +132,6 @@ def solve_scalar(
         return float(evaluate(k))
 
     if flips.size:
-        # First bracket scanning upward from k_lo (multi-root policy).
         j = flips[0]
         root, iterations, brent_converged = _brent(
             f, float(ks[idx[j]]), float(ks[idx[j + 1]]), float(vals[j]), float(vals[j + 1])
@@ -134,13 +143,23 @@ def solve_scalar(
             converged=converged,
         )
 
-    # No sign change anywhere: golden-section minimization of F^2 in log k.
+    # No root on the grid: golden-section minimization of F^2 in log k.
     k, iterations = _golden_min_sq(f, k_lo, k_hi, GOLDEN_TOL_REL)
     f_at, scale = terms(k)
     converged = bool(np.isfinite(f_at) and abs(f_at) <= TOL_F_REL * scale)
     return k, diagnostics(
         used_root=False, iterations=iterations, f_at_solution=f_at, converged=converged
     )
+
+
+def _grid_roots(values: np.ndarray):
+    """Scan values: (idx, vals, flips, zeros), with vals the finite values
+    at grid indices idx, a sign change between vals[j] and vals[j + 1] for
+    each j in flips, and vals[j] == 0 for each j in zeros."""
+    idx = np.flatnonzero(np.isfinite(values))
+    vals = values[idx]
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    return idx, vals, flips, np.flatnonzero(vals == 0.0)
 
 
 def _brent(
@@ -256,10 +275,10 @@ def solve_rows(
     log_grid), one row per equation; ``ks`` is one grid for every row, or
     one grid per row of the same shape as ``values``.
     ``evaluate_rows(x, rows)`` returns the value of equation ``rows[i]`` at
-    ``x[i]``.  Each row follows solve_scalar's policy: an exact grid zero
-    first, else the first sign change scanning upward, refined here in
-    lockstep by a safeguarded Illinois step.  The root is NaN for a row with
-    a non-finite grid value, no sign change, or a non-finite value during
+    ``x[i]``.  Each row follows the root rule (module docstring), as
+    solve_scalar does; a sign change is refined here in lockstep by a
+    safeguarded Illinois step.  The root is NaN for a row with a non-finite
+    grid value, no root on the grid, or a non-finite value during
     refinement; such rows are for solve_scalar.
     """
     ks = np.broadcast_to(ks, values.shape)
@@ -269,13 +288,16 @@ def solve_rows(
     at_root = np.full(values.shape[0], np.nan)
 
     zero = (values == 0.0) & finite[:, None]
-    has_zero = zero.any(axis=1)
-    roots[has_zero] = ks[has_zero, zero.argmax(axis=1)[has_zero]]
+    flips = (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & finite[:, None]
+    has_flip = flips.any(axis=1)
+    j, at_zero = flips.argmax(axis=1), zero.argmax(axis=1)
+    # a zero below the first sign change is the root as it stands
+    has_zero = zero.any(axis=1) & ~(has_flip & (j < at_zero))
+    roots[has_zero] = ks[has_zero, at_zero[has_zero]]
     at_root[has_zero] = 0.0
 
-    flips = (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & finite[:, None]
-    rows = np.flatnonzero(flips.any(axis=1) & ~has_zero)
-    j = flips[rows].argmax(axis=1)
+    rows = np.flatnonzero(has_flip & ~has_zero)
+    j = j[rows]
     roots[rows], steps[rows], at_root[rows] = _illinois(
         evaluate_rows, rows, ks[rows, j], ks[rows, j + 1], values[rows, j], values[rows, j + 1]
     )

@@ -1,4 +1,6 @@
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from mmhet.cluster import (
     solve_working_cov,
 )
 from mmhet.core import eval_h
-from mmhet.exceptions import InsufficientReplication, NonPositiveGamma
+from mmhet.exceptions import InsufficientReplication, NonPositiveGamma, SingularInformation
 from mmhet.simbench import DEFAULT_MASTER_SEED
 from mmhet.single import _plugin_cov_rows, fit_rows
 from oracles import (
@@ -40,6 +42,9 @@ from oracles import (
     long_double_cluster_covariance,
     plain_alternation,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import make_cluster_panel  # noqa: E402
 
 POW_HALF = VarianceSpec.power(0.5)
 CONSTANT = VarianceSpec.constant()
@@ -329,6 +334,22 @@ def test_fit_clustered_rows_names_fit_clustered_failures():
         assert rows.fallback.all() and (rows.iterations == 0).all()
 
 
+@pytest.mark.parametrize("m, replicate", [(3, 927), (6, 415)])
+def test_singular_lockstep_rows_report_no_iterations(m, replicate):
+    # These suite replicates pass the lockstep change test with gamma at its
+    # floor, where the information is singular: the row names the failure
+    # fit_clustered raises, with iterations 0 as for any row that raised.
+    data = generate_clustered(ClusterScenario(m=m, master_seed=DEFAULT_MASTER_SEED), replicate)
+    s, starts, y = _stack(data)
+    y = y[None, :]
+    rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
+    assert rows.failure.tolist() == [SingularInformation.__name__]
+    assert rows.iterations.tolist() == [0] and rows.fallback.tolist() == [False]
+    assert np.isnan(rows.theta).all() and not rows.converged.any()
+    with pytest.raises(SingularInformation):
+        fit_clustered(data, POW_HALF)
+
+
 def test_iteration_cap_flags_nonconvergence(rng, monkeypatch):
     monkeypatch.setattr("mmhet.cluster.MAX_ITER", 1)
     monkeypatch.setattr("mmhet.cluster.REL_TOL", 1e-14)
@@ -453,6 +474,46 @@ def test_fit_clustered_rows_report_iterations_and_fallback():
         assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
         assert rows.iterations.tolist() == [one.iterations]
         assert rows.converged.tolist() == [one.converged]
+
+
+def _pool_panel(index):
+    # pool panel ``index`` of the benchmark's cluster_panels workload, its
+    # sentinel rows dropped as ingest drops them
+    rows = [(c, s, v) for c, s, v in make_cluster_panel(index) if not np.isnan(v)]
+    labels, s, y = zip(*rows)
+    return ClusteredDataset.from_labels(s, y, labels)
+
+
+@pytest.mark.parametrize("index", [421, 19])
+def test_warm_started_scan_matches_the_cold_solve(monkeypatch, index):
+    # Pool panel 421 converges after 104 iterations and panel 19 cycles,
+    # both with gamma at its floor.  At the final (tau2, gamma), a scan of
+    # any prefix of the grid first gives the cold solve's bits, and a prefix
+    # that holds the bracket [ks[root - 1], ks[root]] is all it scans.
+    data = _pool_panel(index)
+    res = fit_clustered(data, POW_HALF)
+    assert (res.iterations, res.cycle is None) == ((104, True) if index == 421 else (MAX_ITER, False))
+    assert res.gamma == GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
+    panel = _prepare(*_stack(data), POW_HALF)
+    cold = gls_km_profile(panel, res.tau2, res.gamma)
+    root, size = int(panel.ks.searchsorted(cold[0])), panel.ks.size
+    scanned = []
+
+    def counted(evaluate, terms, ks, scan_to=None):
+        def scan(k):
+            if isinstance(k, np.ndarray):
+                scanned.append(k.size)
+            return evaluate(k)
+
+        return rootfind.solve_scalar(scan, terms, ks, scan_to)
+
+    monkeypatch.setattr("mmhet.cluster.solve_scalar", counted)
+    for j in (1, root - 3, root, root + 1, size):
+        scanned.clear()
+        km, vmax, diag = gls_km_profile(panel, res.tau2, res.gamma, scan_to=j)
+        assert [float.hex(km), float.hex(vmax)] == [float.hex(cold[0]), float.hex(cold[1])]
+        assert (diag.iterations, diag.converged) == (cold[2].iterations, cold[2].converged)
+        assert scanned == ([j] if j > root else [j, size - j])
 
 
 def _score_reference(ks, s, y, h, starts, tau2, gamma):

@@ -622,6 +622,37 @@ def test_cli_cluster(tmp_path, rng):
     assert block["vmax"] == pytest.approx(100.0, rel=0.2)
 
 
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    # cli_dispatch keeps the parser of its first call; a usage error between
+    # two identical calls leaves the second report the same bytes.
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        s = np.geomspace(2.0, 120.0, 12)
+        rng = np.random.default_rng(7)
+        rows = ["substrate,velocity,plate"]
+        for c in range(4):
+            y = (TRUTH.vmax + rng.normal(0.0, 3.0)) * s / (TRUTH.km + s) + rng.normal(0.0, 1.5, s.size)
+            rows += [f"{float(si)!r},{float(yi)!r},p{c}" for si, yi in zip(s, y)]
+        path = _write(tmp_path, "plates.csv", "\n".join(rows) + "\n")
+        call = ["cluster", "--input", path, "--cluster-col", "plate", "--variance", "pow:0.5",
+                "--format", "json", "--out"]
+        assert cli_dispatch(call + [str(tmp_path / "first.json")]) == EXIT_OK
+        assert cli_dispatch(["cluster", "--input", path, "--alpha", "2"]) == EXIT_USAGE
+        assert cli_dispatch(call + [str(tmp_path / "second.json")]) == EXIT_OK
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_cli_simulate_round_trips(tmp_path):
     out = tmp_path / "sim.csv"
     code = cli_dispatch(

@@ -114,8 +114,32 @@ def test_solve_rows_mixes_policies_per_row():
     assert np.isnan(roots[2])
 
 
+def _sign_change_below_zeros(k):
+    # a sign change at k = 1, between grid points of log_grid(0.01, 100),
+    # below exact zeros at every grid point from 5 up
+    return 0.0 if k >= 5.0 else np.log(k)
+
+
+def test_root_rule_takes_the_first_zero_or_sign_change():
+    # The first exact zero or sign change scanning upward is the root: a
+    # sign change below exact grid zeros wins, as a zero below a sign
+    # change does.
+    root, diag = solve_scalar(*_wrap(_sign_change_below_zeros), log_grid(0.01, 100.0))
+    assert root == pytest.approx(1.0, rel=1e-14)
+    assert diag.used_root and diag.iterations > 0 and diag.sign_changes == 1
+    assert _rows(_sign_change_below_zeros, 0.01, 100.0) == pytest.approx([1.0, 1.0], rel=1e-14)
+
+    def zero_below(k):
+        return 0.0 if k <= 0.05 else np.log(k)
+
+    root, diag = solve_scalar(*_wrap(zero_below), log_grid(0.01, 100.0))
+    assert root == 0.01 and diag.iterations == 0
+    assert list(_rows(zero_below, 0.01, 100.0)) == [0.01, 0.01]
+
+
 # The policy fixtures above, each on its own bracket: a simple root, four
-# roots, an exact grid zero, no sign change, a NaN region, all NaN.
+# roots, an exact grid zero, no sign change, a NaN region, all NaN, a sign
+# change below exact grid zeros.
 _POLICY_ROWS = (
     (np.log, 0.01, 100.0),
     (lambda k: np.sin(np.log(k)), 1.3e-2, 1.1e3),
@@ -123,6 +147,7 @@ _POLICY_ROWS = (
     (lambda k: np.log(k / 5.0) ** 2, 0.01, 100.0),
     (lambda k: np.log(k) if k >= 0.1 else np.nan, 0.01, 100.0),
     (lambda k: np.nan, 0.01, 100.0),
+    (_sign_change_below_zeros, 0.01, 100.0),
 )
 
 
@@ -150,12 +175,46 @@ def test_solve_rows_per_row_grids_match_each_row_alone():
     assert got.root[0] == pytest.approx(1.0, rel=1e-14)
     assert got.root[1] == pytest.approx(np.exp(-np.pi), rel=1e-12)
     assert got.root[2] == 0.5 and got.steps[2] == 0 and got.value[2] == 0.0
-    assert np.isnan(got.root[3:]).all()
+    assert np.isnan(got.root[3:6]).all()
+    assert got.root[6] == pytest.approx(1.0, rel=1e-14) and got.steps[6] > 0
     assert got.sign_changes[:4].tolist() == [1, 4, 0, 0]
+    assert got.sign_changes[6] == 1
     # one lockstep step is one evaluation, and the value is the equation's at the root
     assert (got.steps == calls).all()
-    for i in (0, 1):
+    for i in (0, 1, 6):
         assert got.value[i] == fs[i](got.root[i])
+
+
+@pytest.mark.parametrize("row", range(len(_POLICY_ROWS)))
+def test_scan_to_leaves_the_solve_unchanged(row):
+    # Scanning a prefix of the grid first gives the full scan's root and
+    # diagnostics, bit for bit, but sign_changes, which counts the scanned
+    # points only; a prefix holding a root is all the grid scan evaluates.
+    f, lo, hi = _POLICY_ROWS[row]
+    evaluate, terms = _wrap(f)
+    ks = log_grid(lo, hi)
+    scanned = []
+
+    def counted(k):
+        if np.ndim(k):
+            scanned.append(k.size)
+        return evaluate(k)
+
+    with np.errstate(invalid="ignore"):
+        try:
+            want = solve_scalar(evaluate, terms, ks)
+        except NoFiniteEvaluation:
+            for scan_to in (1, 100, ks.size):
+                with pytest.raises(NoFiniteEvaluation):
+                    solve_scalar(evaluate, terms, ks, scan_to)
+            return
+        for scan_to in (-1, 0, 1, 2, 60, 127, 128, 129, 200, ks.size - 1, ks.size, 1000):
+            scanned.clear()
+            got = solve_scalar(counted, terms, ks, scan_to)
+            assert float.hex(got[0]) == float.hex(want[0])
+            for name in ("bracket", "used_root", "iterations", "f_at_solution", "converged"):
+                assert getattr(got[1], name) == getattr(want[1], name)
+            assert sum(scanned) == ks.size or scanned == [max(scan_to, 1)]
 
 
 def test_k_bracket_defaults():
