@@ -9,8 +9,11 @@ JSON and CSV files.  Two versions of the package that print the same
 digest for the same seeds write the same reports, byte for byte.  One
 more line per workload digests that workload's share of the same bytes,
 so a change that moves one workload's reports shows which others hold.
+``--workloads`` digests only the workloads named, in the same order, so
+the last line then covers only their reports.
 
     PYTHONPATH=src python3 scripts/report_digest.py 3 11
+    PYTHONPATH=src python3 scripts/report_digest.py 3 5 7 11 12 --workloads screen_panel
 """
 
 import argparse
@@ -39,12 +42,18 @@ def _runs(argv: list[str], out: Path):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", type=int, nargs="+")
+    parser.add_argument(
+        "--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS),
+        metavar="NAME", help="workloads to digest (default: all)",
+    )
     args = parser.parse_args()
+    names = [name for name in WORKLOADS if name in args.workloads]
     digest = hashlib.sha256()
-    by_workload = {name: hashlib.sha256() for name in WORKLOADS}
-    counts = dict.fromkeys(WORKLOADS, 0)
+    by_workload = {name: hashlib.sha256() for name in names}
+    counts = dict.fromkeys(names, 0)
     for seed in args.seeds:
-        for name, workload in WORKLOADS.items():
+        for name in names:
+            workload = WORKLOADS[name]
             with tempfile.TemporaryDirectory() as workdir:
                 for call in workload.prepare(seed, Path(workdir)):
                     for argv, paths in _runs(call.argv, call.out):

@@ -18,14 +18,17 @@ refine.  A zero above the first sign change does not count.
 on one shared grid (the wild bootstrap's refits over one design) or on one
 grid per row (screening, where every curve has its own bracket), refining
 every bracket in lockstep with a safeguarded Illinois step.  Rows it cannot
-bracket are left to ``solve_scalar``.
+bracket are left to ``solve_scalar``.  It is two stages, ``bracket_rows``
+on the grid values and ``refine_rows`` on the brackets, so a caller whose
+grid values come in small blocks (screening) can refine many blocks'
+brackets in one lockstep call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -254,6 +257,18 @@ def _golden_min_sq(
     return float(np.exp(0.5 * (a + b))), iterations
 
 
+class RowBrackets(NamedTuple):
+    """bracket_rows' outcome for every row: what the grid decides, and the
+    bracket a sign change leaves to refine_rows."""
+
+    root: np.ndarray  # (rows,) the grid zero the root rule takes, else NaN
+    a: np.ndarray  # (rows,) lower end of the bracket to refine, else NaN
+    b: np.ndarray  # (rows,) upper end
+    fa: np.ndarray  # (rows,) the equation's value at a
+    fb: np.ndarray  # (rows,) the equation's value at b
+    sign_changes: np.ndarray  # (rows,) sign changes on the grid
+
+
 @dataclass(frozen=True, eq=False)
 class RowRoots:
     """solve_rows' outcome for every row."""
@@ -280,13 +295,19 @@ def solve_rows(
     safeguarded Illinois step.  The root is NaN for a row with a non-finite
     grid value, no root on the grid, or a non-finite value during
     refinement; such rows are for solve_scalar.
+
+    It is bracket_rows then refine_rows.  Both work row by row, so the rows
+    may be bracketed in some blocks and refined in others, joined or split
+    along the rows of RowBrackets' fields, with the same bits.
     """
+    return refine_rows(bracket_rows(values, ks), evaluate_rows)
+
+
+def bracket_rows(values: np.ndarray, ks: np.ndarray) -> RowBrackets:
+    """solve_rows' grid stage: the root rule on every row of ``values``."""
     ks = np.broadcast_to(ks, values.shape)
     finite = np.isfinite(values).all(axis=1)
     roots = np.full(values.shape[0], np.nan)
-    steps = np.zeros(values.shape[0], dtype=np.intp)
-    at_root = np.full(values.shape[0], np.nan)
-
     zero = (values == 0.0) & finite[:, None]
     flips = (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & finite[:, None]
     has_flip = flips.any(axis=1)
@@ -294,14 +315,28 @@ def solve_rows(
     # a zero below the first sign change is the root as it stands
     has_zero = zero.any(axis=1) & ~(has_flip & (j < at_zero))
     roots[has_zero] = ks[has_zero, at_zero[has_zero]]
-    at_root[has_zero] = 0.0
 
+    ends = np.full((4, values.shape[0]), np.nan)
     rows = np.flatnonzero(has_flip & ~has_zero)
     j = j[rows]
+    ends[:, rows] = ks[rows, j], ks[rows, j + 1], values[rows, j], values[rows, j + 1]
+    return RowBrackets(roots, *ends, flips.sum(axis=1))
+
+
+def refine_rows(
+    brackets: RowBrackets, evaluate_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> RowRoots:
+    """solve_rows' refinement stage: every bracket of ``brackets`` refined
+    in lockstep, with ``evaluate_rows`` indexing the rows of ``brackets``."""
+    roots = brackets.root.copy()
+    steps = np.zeros(roots.size, dtype=np.intp)
+    at_root = np.where(np.isnan(roots), np.nan, 0.0)
+    rows = np.flatnonzero(~np.isnan(brackets.a))
     roots[rows], steps[rows], at_root[rows] = _illinois(
-        evaluate_rows, rows, ks[rows, j], ks[rows, j + 1], values[rows, j], values[rows, j + 1]
+        evaluate_rows, rows,
+        brackets.a[rows], brackets.b[rows], brackets.fa[rows], brackets.fb[rows],
     )
-    return RowRoots(roots, steps, at_root, flips.sum(axis=1))
+    return RowRoots(roots, steps, at_root, brackets.sign_changes)
 
 
 def _illinois(evaluate_rows, rows, a, b, fa, fb):
@@ -320,40 +355,44 @@ def _illinois(evaluate_rows, rows, a, b, fa, fb):
     x = np.where(nearer_a, a, b)
     fx_at = np.where(nearer_a, fa, fb)
     steps = np.zeros(rows.size, dtype=np.intp)
+    # The state of the rows still open, at positions live: compacted when
+    # a row closes, so a step touches only the open rows.
+    live = np.arange(rows.size)
     kept = np.zeros(rows.size, dtype=np.int8)  # +1: a kept last step, -1: b kept
     widths = np.full((3, rows.size), np.inf)  # bracket widths 1, 2, 3 steps back
-    live = np.arange(rows.size)
     for it in range(_REFINE_MAX_ITER + 1):
         # NaN widths mark rows stopped by a non-finite value.
-        live = live[b[live] - a[live] > _REFINE_RTOL * b[live]]
+        open_ = b - a > _REFINE_RTOL * b
+        if not open_.all():
+            live, a, b, fa, fb, kept = (v[open_] for v in (live, a, b, fa, fb, kept))
+            widths = widths[:, open_]
         if live.size == 0 or it == _REFINE_MAX_ITER:
             break
-        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
-        width = bl - al
+        width = b - a
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = bl - fbl * (width / (fbl - fal))
-        margin = 0.5 * _REFINE_RTOL * bl
-        step = np.clip(step, al + margin, bl - margin)
-        bisect = ~((step > al) & (step < bl)) | (width > 0.5 * widths[2, live])
-        xl = np.where(bisect, al + 0.5 * width, step)
-        widths[:, live] = np.vstack([width, widths[:2, live]])
+            step = b - fb * (width / (fb - fa))
+        margin = 0.5 * _REFINE_RTOL * b
+        step = np.clip(step, a + margin, b - margin)
+        bisect = ~((step > a) & (step < b)) | (width > 0.5 * widths[2])
+        xl = np.where(bisect, a + 0.5 * width, step)
+        widths = np.vstack([width, widths[:2]])
         fx = evaluate_rows(xl, rows[live])
         x[live], fx_at[live] = xl, fx
-        steps[live] += 1
+        steps[live] = it + 1
 
-        move_a = np.sign(fx) == np.sign(fal)
-        kl = kept[live]
-        fal = np.where(~move_a & (kl == 1), 0.5 * fal, fal)
-        fbl = np.where(move_a & (kl == -1), 0.5 * fbl, fbl)
-        a[live] = np.where(move_a, xl, al)
-        fa[live] = np.where(move_a, fx, fal)
-        b[live] = np.where(move_a, bl, xl)
-        fb[live] = np.where(move_a, fbl, fx)
-        kept[live] = np.where(move_a, -1, 1)
+        move_a = np.sign(fx) == np.sign(fa)
+        fa = np.where(~move_a & (kept == 1), 0.5 * fa, fa)
+        fb = np.where(move_a & (kept == -1), 0.5 * fb, fb)
+        a, fa = np.where(move_a, xl, a), np.where(move_a, fx, fa)
+        b, fb = np.where(move_a, b, xl), np.where(move_a, fb, fx)
+        kept = np.where(move_a, -1, 1)
 
         hit = fx == 0.0
-        a[live[hit]] = b[live[hit]] = xl[hit]
+        if hit.any():
+            a[hit] = b[hit] = xl[hit]
         bad = ~np.isfinite(fx)
-        a[live[bad]] = b[live[bad]] = x[live[bad]] = np.nan
+        if bad.any():
+            a[bad] = b[bad] = np.nan
+            x[live[bad]] = np.nan
     x[live] = np.nan  # still open at the iteration cap
     return x, steps, fx_at

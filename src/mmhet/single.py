@@ -25,7 +25,11 @@ through ``fit_single``, so it returns every row's final outcome.
 Screening (``screen_models``, and ``group_fit`` over a whole panel) runs
 the same stages on rows that each carry their own design, shape and grid:
 every (curve, candidate) pair is one row, and pairs on curves of equal
-length share a block.  ``fit_single`` finishes through the same plug-in
+length share a chunk of up to BLOCK_ROWS rows.  Their (rows, K, n) grid
+arrays are larger than fit_rows', so a chunk scans its grid in smaller
+blocks of at most BLOCK_CELLS cells, keeps only each block's brackets
+(``bracket_rows``) and refines the whole chunk in one lockstep call
+(``refine_rows``).  ``fit_single`` finishes through the same plug-in
 stage on one row and builds its result through the same helper, so each
 plug-in formula, each post-root failure rule and the intervals and
 information criteria are written once.
@@ -57,10 +61,12 @@ from .exceptions import (
 )
 from .rootfind import (
     GRID_POINTS,
-    RowRoots,
+    RowBrackets,
     SolverDiagnostics,
+    bracket_rows,
     k_bracket,
     log_grid,
+    refine_rows,
     solve_rows,
     solve_scalar,
 )
@@ -72,13 +78,16 @@ COND_LIMIT = 1e12
 # Parameter count charged by the information criteria: vmax, km, gamma.
 N_PARAMS = 3
 
-# Rows fit_rows and screening evaluate together: enough to amortize numpy's
-# per-call cost, few enough that the (rows, GRID_POINTS) grid arrays do not
-# raise peak memory.
+# Rows fit_rows and screening solve together: enough to amortize numpy's
+# per-call cost in the lockstep refinement and the plug-in stage, few
+# enough that the (rows, GRID_POINTS) and (rows, n) arrays do not raise
+# peak memory.
 BLOCK_ROWS = 128
-# Float64 cells of each (rows, GRID_POINTS, n) array of a block whose rows
-# carry their own design (screening): blocks of long curves get fewer rows,
-# so the grid stage's transient memory stays near 1 MiB per array.
+# Float64 cells of each (rows, GRID_POINTS, n) array of a screening grid
+# block, whose rows carry their own design: blocks of long curves get
+# fewer rows, so the grid stage's transient memory stays near 1 MiB per
+# array.  Only the brackets of a block outlive it, so this budget does not
+# bound the refinement's chunk, which BLOCK_ROWS does.
 BLOCK_CELLS = 1 << 17
 
 
@@ -276,28 +285,36 @@ def _information_criteria(s, h, y, vmax, km, gamma):
     return loglik.tolist(), aic.tolist(), bic.tolist()
 
 
-def _fit_result(spec, km, vmax, cov, se, gamma, loglik, aic, bic, solver, alpha) -> FitResult:
-    """fit_single's result for one curve from its root km, one row of the
-    plug-in stage (vmax, cov, se, gamma), its information criteria and its
-    solver diagnostics: adds the Wald intervals."""
-    # copies, so that a kept result does not pin the stage's row arrays
-    vmax, gamma, cov, se = float(vmax), float(gamma), cov.copy(), se.copy()
-    params = MMParams(vmax, km)
-    z = wald_z(alpha)
-    return FitResult(
-        params=params,
-        gamma=gamma,
-        cov=cov,
-        se=se,
-        ci_vmax=(vmax - z * se[0], vmax + z * se[0]),
-        ci_km=(km - z * se[1], km + z * se[1]),
-        loglik=loglik,
-        aic=aic,
-        bic=bic,
-        variance_spec=spec,
-        solver=solver,
-        alpha=alpha,
-    )
+def _fit_results(specs, km, vmax, cov, se, gamma, criteria, solvers, alpha, z) -> list[FitResult]:
+    """fit_single's results for rows of the plug-in stage: root km, vmax,
+    cov, se and gamma (row-indexed arrays holding only these rows), each
+    row's information criteria (loglik, aic, bic), solver diagnostics and
+    shape, with Wald intervals of quantile z = wald_z(alpha).
+
+    The arrays are converted to Python floats once, and each interval is
+    float arithmetic, which rounds as numpy's does; each result's cov and se
+    are its rows of the arrays passed in.
+    """
+    return [
+        FitResult(
+            params=MMParams(v, k),
+            gamma=g,
+            cov=c,
+            se=e,
+            ci_vmax=(v - z * se_v, v + z * se_v),
+            ci_km=(k - z * se_k, k + z * se_k),
+            loglik=loglik,
+            aic=aic,
+            bic=bic,
+            variance_spec=spec,
+            solver=solver,
+            alpha=alpha,
+        )
+        for k, v, g, (se_v, se_k), c, e, loglik, aic, bic, solver, spec in zip(
+            km.tolist(), vmax.tolist(), gamma.tolist(), se.tolist(), cov, se, *criteria,
+            solvers, specs,
+        )
+    ]
 
 
 def fit_single(
@@ -319,9 +336,9 @@ def fit_single(
     vmax, cov, se, gamma, failure = _plugin_rows(s, h, row, kms)
     if failure[0] is not None:
         raise failure[0]
-    (loglik,), (aic,), (bic,) = _information_criteria(s, h, row, vmax, kms, gamma)
-    result = _fit_result(
-        spec, km, vmax[0], cov[0], se[0], gamma[0], loglik, aic, bic, diag, conf.alpha
+    (result,) = _fit_results(
+        [spec], kms, vmax, cov, se, gamma, _information_criteria(s, h, row, vmax, kms, gamma),
+        [diag], conf.alpha, wald_z(conf.alpha),
     )
     if not diag.converged:
         raise NonconvergedFit(
@@ -352,30 +369,37 @@ def _row_take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a if a.ndim == 1 else a[rows]
 
 
-def _solve_block(ks, s, h, y: np.ndarray, grid) -> RowRoots:
-    """solve_rows for every row of y (rows, n) on a shared or per-row design
-    and grid, from the design's _grid_terms."""
+def _grid_values(y: np.ndarray, grid) -> np.ndarray:
+    """The profile equation's values (rows, K) on the grid for every row of
+    y (rows, n), from the design's _grid_terms."""
     w, wd, s3, s4 = grid
-    # The profile equation's two y-dependent sums on the grid.  einsum,
-    # unlike a BLAS matmul, gives each row the same sums whatever rows
-    # share its block.
+    # The two y-dependent sums.  einsum, unlike a BLAS matmul, gives each
+    # row the same sums whatever rows share its block.
     sub = "rn,kn->rk" if w.ndim == 2 else "rn,rkn->rk"
-    values = np.einsum(sub, y, w) * s3 - np.einsum(sub, y, wd) * s4
-    return solve_rows(
-        values,
-        ks,
-        lambda x, idx: _profile_value(x, _row_take(s, idx), y[idx], _row_take(h, idx)),
-    )
+    return np.einsum(sub, y, w) * s3 - np.einsum(sub, y, wd) * s4
+
+
+def _row_values(s, y: np.ndarray, h):
+    """solve_rows' evaluate_rows for the rows of y on a shared or per-row
+    design."""
+    return lambda x, idx: _profile_value(x, _row_take(s, idx), y[idx], _row_take(h, idx))
 
 
 @dataclass(frozen=True, eq=False)
 class RowFits:
-    """fit_single's outcome for every response row of fit_rows."""
+    """fit_single's outcome for every response row of fit_rows, and how
+    each row's root was found."""
 
     theta: np.ndarray  # (rows, 2): vmax, km; NaN where the row did not fit
     se: np.ndarray  # (rows, 2) plug-in standard errors
     gamma: np.ndarray  # (rows,) dispersion estimates
     failure: np.ndarray  # exception-class name fit_single raises, else None
+    fallback: np.ndarray  # (rows,) True where the row was refit through fit_single
+    # (rows,) lockstep refinement steps (0 for a grid zero), or where
+    # fallback the iterations of fit_single's solve; -1 where no solve ran
+    # or the fallback's error carries no SolverDiagnostics
+    steps: np.ndarray
+    sign_changes: np.ndarray  # (rows,) sign changes on the grid; -1 as steps
 
 
 def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
@@ -391,18 +415,24 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
     se = np.full((rows, 2), np.nan)
     gamma = np.full(rows, np.nan)
     failure = np.full(rows, None, dtype=object)
+    fallback = np.zeros(rows, dtype=bool)
+    steps = np.full(rows, -1, dtype=np.intp)
+    sign_changes = np.full(rows, -1, dtype=np.intp)
     try:
         _require_identifiable(s)
     except DegenerateDesign as err:
         failure[:] = type(err).__name__
-        return RowFits(theta, se, gamma, failure)
+        return RowFits(theta, se, gamma, failure, fallback, steps, sign_changes)
     h = eval_h(spec, s)
     ks = log_grid(*k_bracket(s))
     grid = _grid_terms(ks, s, h)
     unbracketed = []
     for first in range(0, rows, BLOCK_ROWS):
         yb = y[first:first + BLOCK_ROWS]
-        km = _solve_block(ks, s, h, yb, grid).root
+        roots = solve_rows(_grid_values(yb, grid), ks, _row_values(s, yb, h))
+        block = slice(first, first + yb.shape[0])
+        steps[block], sign_changes[block] = roots.steps, roots.sign_changes
+        km = roots.root
         solved = np.isfinite(km)
         unbracketed.extend(first + np.flatnonzero(~solved))
         km = km[solved]
@@ -412,14 +442,21 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
         theta[at[fit]] = np.column_stack([vmax, km])[fit]
         se[at[fit]], gamma[at[fit]] = se_b[fit], gamma_b[fit]
         failure[at[~fit]] = [type(err).__name__ for err in errors[~fit]]
+    fallback[unbracketed] = True
+    steps[unbracketed] = sign_changes[unbracketed] = -1
     for i in unbracketed:
         try:
             one = fit_single(Dataset(s, y[i]), spec)
+        except NonconvergedFit as err:
+            failure[i], diag = type(err).__name__, err.diagnostics
         except MMHetError as err:
             failure[i] = type(err).__name__
+            continue
         else:
             theta[i], se[i], gamma[i] = one.params.as_array(), one.se, one.gamma
-    return RowFits(theta, se, gamma, failure)
+            diag = one.solver
+        steps[i], sign_changes[i] = diag.iterations, diag.sign_changes
+    return RowFits(theta, se, gamma, failure, fallback, steps, sign_changes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,11 +478,16 @@ def _screen_fits(
 
     Every (dataset, candidate) pair is one row of fit_rows' stages, with
     its own design, shape and grid.  Rows on curves of equal length share a
-    block, so nothing is padded, of at most BLOCK_ROWS rows and BLOCK_CELLS
-    cells per grid array.  Rows solve_rows cannot bracket, and rows the
-    plug-in stage rejects, are refit through fit_single, so every failure
-    and its message are fit_single's own: a message quotes the plug-in
-    value, whose last digits depend on where the solver stopped.
+    chunk of at most BLOCK_ROWS rows, so nothing is padded, and each stage
+    sees one length at a time.  Two budgets bound the memory: the grid scan
+    runs in blocks of at most BLOCK_CELLS cells per (rows, K, n) array and
+    keeps only each row's bracket (bracket_rows); one lockstep refinement
+    (refine_rows), the plug-in stage and the information criteria then run
+    on the whole chunk, whose (rows, n) arrays BLOCK_ROWS bounds.  Rows
+    without a bracket, and rows the plug-in stage rejects, are refit
+    through fit_single, so every failure and its message are fit_single's
+    own: a message quotes the plug-in value, whose last digits depend on
+    where the solver stopped.
     """
     out: list[list] = [[None] * len(candidates) for _ in datasets]
     brackets: dict[int, tuple[float, float]] = {}
@@ -458,44 +500,50 @@ def _screen_fits(
             continue
         brackets[i] = k_bracket(data.s)
         by_length.setdefault(data.n, []).extend((i, j) for j in range(len(candidates)))
+    z = wald_z(conf.alpha)
     refit = []
     for n, pairs in by_length.items():
-        block = max(1, min(BLOCK_ROWS, BLOCK_CELLS // (GRID_POINTS * n)))
-        for first in range(0, len(pairs), block):
-            part = pairs[first:first + block]
+        grid_rows = max(1, BLOCK_CELLS // (GRID_POINTS * n))
+        for first in range(0, len(pairs), BLOCK_ROWS):
+            part = pairs[first:first + BLOCK_ROWS]
             s = np.stack([datasets[i].s for i, _ in part])
             y = np.stack([datasets[i].y for i, _ in part])
             h = np.stack([eval_h(candidates[j], datasets[i].s) for i, j in part])
             ks = log_grid(*np.array([brackets[i] for i, _ in part]).T)
+            blocks = [slice(at, at + grid_rows) for at in range(0, len(part), grid_rows)]
             # rows whose values overflow come back unbracketed or rejected
             with np.errstate(over="ignore", invalid="ignore"):
-                roots = _solve_block(ks, s, h, y, _grid_terms(ks, s, h))
+                found = [
+                    bracket_rows(_grid_values(y[b], _grid_terms(ks[b], s[b], h[b])), ks[b])
+                    for b in blocks
+                ]
+                roots = refine_rows(
+                    RowBrackets(*map(np.concatenate, zip(*found))), _row_values(s, y, h)
+                )
             km = roots.root
             vmax, cov, se, gamma, failure = _plugin_rows(s, h, y, km)
             kept = ~np.isnan(km) & np.equal(failure, None)
             refit.extend(pair for pair, ok in zip(part, kept) if not ok)
             rows = np.flatnonzero(kept)
-            criteria = _information_criteria(
-                s[rows], h[rows], y[rows], vmax[rows], km[rows], gamma[rows]
+            at = [part[r] for r in rows.tolist()]
+            # a lockstep bracket closed to its width is a converged root
+            solvers = [
+                SolverDiagnostics(
+                    bracket=brackets[i], used_root=True, iterations=steps,
+                    f_at_solution=value, converged=True, sign_changes=flips,
+                )
+                for (i, _), steps, value, flips in zip(
+                    at, *(a[rows].tolist() for a in (roots.steps, roots.value, roots.sign_changes))
+                )
+            ]
+            km, vmax, gamma = km[rows], vmax[rows], gamma[rows]
+            criteria = _information_criteria(s[rows], h[rows], y[rows], vmax, km, gamma)
+            results = _fit_results(
+                [candidates[j] for _, j in at], km, vmax, cov[rows], se[rows], gamma, criteria,
+                solvers, conf.alpha, z,
             )
-            for r, loglik, aic, bic in zip(rows.tolist(), *criteria):
-                i, j = part[r]
-                # a lockstep bracket closed to its width is a converged root
-                diag = SolverDiagnostics(
-                    bracket=brackets[i],
-                    used_root=True,
-                    iterations=int(roots.steps[r]),
-                    f_at_solution=float(roots.value[r]),
-                    converged=True,
-                    sign_changes=int(roots.sign_changes[r]),
-                )
-                out[i][j] = (
-                    _fit_result(
-                        candidates[j], float(km[r]), vmax[r], cov[r], se[r], gamma[r],
-                        loglik, aic, bic, diag, conf.alpha,
-                    ),
-                    None,
-                )
+            for (i, j), result in zip(at, results):
+                out[i][j] = (result, None)
     for i, j in refit:
         try:
             out[i][j] = (fit_single(datasets[i], candidates[j], conf), None)

@@ -563,8 +563,9 @@ def test_cli_screen_and_group(tmp_path, rng):
 def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
     # Screening rows share blocks by curve length; each row's numbers come
     # from its own values only, so the report does not depend on the block
-    # size.  Labels are interleaved in the file; the 600-point curve gets a
-    # block of its own at every size.
+    # size: BLOCK_ROWS, the refinement chunk, or BLOCK_CELLS, the grid
+    # block, down to one row per grid block.  Labels are interleaved in the
+    # file; the 600-point curve gets a block of its own at every size.
     rng = np.random.default_rng(8)
     curves = []
     for i, n in enumerate([6] * 9 + [11] * 20 + [17] * 3 + [600]):
@@ -582,13 +583,16 @@ def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
     ]
     path = _write(tmp_path, "panel.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
     reports = []
-    for block in (1, 7, 128):
+    one_row = single.GRID_POINTS * 6  # cells of one row of the shortest curves
+    for block, cells in [(1, None), (7, None), (128, None), (7, one_row), (128, one_row)]:
         monkeypatch.setattr(single, "BLOCK_ROWS", block)
-        out = tmp_path / f"group{block}.json"
+        if cells is not None:
+            monkeypatch.setattr(single, "BLOCK_CELLS", cells)
+        out = tmp_path / f"group{block}-{cells}.json"
         argv = ["group", "--input", path, "--format", "json", "--out", str(out)]
         assert cli_dispatch(argv) == EXIT_OK
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    assert all(report == reports[0] for report in reports)
     doc = json.loads(reports[0])
     assert set(doc["panel"]["best_by_label"]) == {label for label, _, _ in curves[:-3]}
 

@@ -8,7 +8,16 @@ from mmhet import generate_clustered, generate_single, rootfind, single
 from mmhet.cluster import GAMMA_FLOOR_REL, _moment_update, _prepare, _stack, gls_km_profile
 from mmhet.core import DEFAULT_CANDIDATES, eval_h
 from mmhet.exceptions import NoFiniteEvaluation
-from mmhet.rootfind import _brent, k_bracket, log_grid, solve_rows, solve_scalar
+from mmhet.rootfind import (
+    RowBrackets,
+    _brent,
+    bracket_rows,
+    k_bracket,
+    log_grid,
+    refine_rows,
+    solve_rows,
+    solve_scalar,
+)
 
 
 def _wrap(f):
@@ -183,6 +192,48 @@ def test_solve_rows_per_row_grids_match_each_row_alone():
     assert (got.steps == calls).all()
     for i in (0, 1, 6):
         assert got.value[i] == fs[i](got.root[i])
+
+
+def _partitions(rows):
+    # every cut of range(rows) into consecutive blocks, as lists of slices
+    for mask in range(2 ** (rows - 1)):
+        edges = [0, *(i + 1 for i in range(rows - 1) if mask >> i & 1), rows]
+        yield [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def test_bracket_then_refine_matches_solve_rows_over_any_partition():
+    # Screening brackets its rows in grid blocks and refines them in other
+    # chunks: every way to cut the policy rows into grid blocks, and into
+    # refinement chunks, gives solve_rows' result on all rows at once.
+    fs, lo, hi = zip(*_POLICY_ROWS)
+    ks = log_grid(np.array(lo), np.array(hi))
+    values = np.array([[f(k) for k in grid] for f, grid in zip(fs, ks)], dtype=np.float64)
+
+    def evaluate_from(first):
+        return lambda x, rows: np.array(
+            [fs[first + r](k) for k, r in zip(x, rows)], dtype=np.float64
+        )
+
+    cuts = list(_partitions(len(fs)))
+    whole, single_rows = cuts[0], cuts[-1]
+    with np.errstate(invalid="ignore"):
+        want = solve_rows(values, ks, evaluate_from(0))
+        for blocks, chunks in [
+            *((cut, whole) for cut in cuts),
+            *((single_rows, cut) for cut in cuts),
+            *zip(cuts, reversed(cuts)),
+        ]:
+            found = [bracket_rows(values[b], ks[b]) for b in blocks]
+            joined = RowBrackets(*map(np.concatenate, zip(*found)))
+            parts = [
+                refine_rows(RowBrackets(*(field[c] for field in joined)), evaluate_from(c.start))
+                for c in chunks
+            ]
+            for name in ("root", "steps", "value", "sign_changes"):
+                got = np.concatenate([getattr(part, name) for part in parts])
+                assert got.tobytes() == getattr(want, name).tobytes(), (name, blocks, chunks)
+    # the grid zero and the unbracketed rows are among them
+    assert want.root[2] == 0.5 and np.isnan(want.root[3:6]).all()
 
 
 @pytest.mark.parametrize("row", range(len(_POLICY_ROWS)))

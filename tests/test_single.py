@@ -22,6 +22,7 @@ from mmhet.exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
+from mmhet.rootfind import k_bracket, log_grid, solve_rows
 from mmhet.single import COND_LIMIT, fit_rows, sym2_inverse
 from oracles import cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
 from test_bootstrap import _S8, _Y_FLAGGED, _Y_TOOMANY
@@ -607,14 +608,18 @@ def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
 
     want = np.full((y.shape[0], 5), np.nan)
     reasons = []
+    solves = np.full((y.shape[0], 2), -1)  # fit_single's (iterations, sign_changes)
     for i, yi in enumerate(y):
         try:
             one = fit_single(Dataset(_S8, yi), spec)
         except MMHetError as err:
             reasons.append(type(err).__name__)
+            if isinstance(err, NonconvergedFit):
+                solves[i] = err.diagnostics.iterations, err.diagnostics.sign_changes
             continue
         reasons.append(None)
         want[i] = [*one.params.as_array(), *one.se, one.gamma]
+        solves[i] = one.solver.iterations, one.solver.sign_changes
     assert rows.failure.tolist() == reasons
     got = np.column_stack([rows.theta, rows.se, rows.gamma])
     failed = np.array([r is not None for r in reasons])
@@ -628,3 +633,15 @@ def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
     assert (batched & ~failed).any()
     assert batched[-2] and reasons[-2] == "SingularInformation"
     assert batched[-1] and reasons[-1] == "DegenerateDesign"
+
+    # How each row was solved: a fallback row reports its fit_single solve,
+    # a batched row the lockstep stage's steps and grid sign changes.
+    assert rows.fallback.tolist() == (~batched).tolist()
+    got = np.column_stack([rows.steps, rows.sign_changes])
+    assert (got[~batched] == solves[~batched]).all()
+    assert (got[~batched, 0] > 0).any()
+    h, ks = eval_h(spec, _S8), log_grid(*k_bracket(_S8))
+    values = single._grid_values(y, single._grid_terms(ks, _S8, h))
+    roots = solve_rows(values, ks, single._row_values(_S8, y, h))
+    assert (got[batched] == np.column_stack([roots.steps, roots.sign_changes])[batched]).all()
+    assert (rows.steps[batched] > 0).all()
