@@ -83,7 +83,8 @@ def _add_io_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--velocity-col", default="velocity")
     p.add_argument("--group-col", default="group")
     p.add_argument("--cluster-col", default="cluster")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",",
+                   type=_checked(lambda t: IngestOptions(delimiter=t).delimiter))
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--alpha", default=0.05,

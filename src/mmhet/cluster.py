@@ -38,11 +38,18 @@ computed), the damped steps of the replayed iterations added in, and
 bit for bit.
 
 ``fit_clustered_rows`` fits many panels that share one stacked design and
-cluster layout (the clustered Monte Carlo suite's balanced replicates, where
-GLS equals the pooled weighted fit): from the caller's pooled fits, all rows
-take the first iteration together, with the lockstep root stage and row-wise
-moments and covariance.  Rows it does not converge go to ``fit_clustered``,
-the one alternation, so it returns every row's final outcome.
+cluster layout (the clustered Monte Carlo suite's replicates).  When every
+cluster observes the same levels in the same order, z is the same column of
+every cluster's mean Jacobian and Vinv_i z = Ginv z / (1 + tau2 * z'Ginv z)
+with one factor for all clusters.  So the GLS plug-in vmax is the pooled
+weighted one, the downdate's cross term in the km score sums to zero at it,
+and the profiled GLS score is the pooled weighted profile equation over
+gamma at every k and every (tau2, gamma): GLS equals the pooled fit (a
+Kruskal 1968 "OLS = GLS" identity).  The pooled fit is then the
+alternation's fixed point, and a row with one takes it, with the row-wise
+moments and covariance there.  Rows without one, and every row of an
+unbalanced design, go to ``fit_clustered``, the one alternation, so it
+returns every row's final outcome.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from .exceptions import (
     NonPositiveGamma,
     SingularInformation,
 )
-from .rootfind import SolverDiagnostics, k_bracket, log_grid, solve_rows, solve_scalar
+from .rootfind import SolverDiagnostics, k_bracket, log_grid, solve_scalar
 from .single import COND_LIMIT, FitConfig, distinct_levels, fit_single, sym2_inverse
 
 # Relative floor for the moment-matched gamma, scaled by the pooled
@@ -193,8 +200,7 @@ def _prepare(s, starts, y, spec: VarianceSpec) -> _PreparedPanel:
 
 def _loadings(k, s):
     """The loading z = s/(k+s) and its km sensitivity over -vmax, z/(k+s) =
-    s/(k+s)^2, at one k, at each point of a grid of k values, or at k[i] on
-    row i."""
+    s/(k+s)^2, at one k or at each point of a grid of k values."""
     d = np.asarray(k)[..., None] + s
     z = s / d
     return z, z / d
@@ -202,8 +208,7 @@ def _loadings(k, s):
 
 def _score_sums(z, e, y, ginv, starts, tau2):
     """Per-cluster sums of the stacked score's km component at the loadings
-    (z, e) = _loadings(k, s) of one k, of a grid of k values, or of k[i] for
-    response row i.
+    (z, e) = _loadings(k, s) of one k or of a grid of k values.
 
     The loading z doubles as the vmax regressor, and the GLS plug-in
     vmax(k) is the ratio of weighted projections.  ginv is 1 / (gamma h).
@@ -493,16 +498,17 @@ class ClusterRowFits:
     tau2: np.ndarray  # (rows,)
     converged: np.ndarray  # (rows,) bool, False where the fit raised
     failure: np.ndarray  # exception-class name fit_clustered raises, else None
-    # (rows,) 1 where the lockstep step converged, else fit_clustered's; 0 where it raised
+    # (rows,) 1 where the row took the pooled fit as its fixed point, else
+    # fit_clustered's; 0 where the fit raised
     iterations: np.ndarray
     fallback: np.ndarray  # (rows,) bool, True where the row went to fit_clustered
 
 
-def _rel_change_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """_rel_change over rows."""
-    scale = np.maximum(np.abs(old), np.abs(new))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(scale == 0.0, 0.0, np.abs(new - old) / scale)
+def _balanced(s: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether every cluster of the stacked design s, clusters beginning at
+    ``starts``, observes the same substrate levels in the same order."""
+    clusters = np.split(s, starts[1:])
+    return all(np.array_equal(c, clusters[0]) for c in clusters)
 
 
 def _moment_rows(s, h, starts, y, vmax, km, floor):
@@ -521,49 +527,6 @@ def _moment_rows(s, h, starts, y, vmax, km, floor):
         gamma = np.maximum(floor, ((r * r - tau2[:, None] * zz) / h).sum(axis=1) / s.size)
     valid = (den > 0.0) & np.isfinite(tau2) & np.isfinite(gamma)
     return tau2, gamma, valid
-
-
-def _score_grid(ks, s, h, starts, y, tau2, gamma):
-    """The stacked score's km component on the grid ks for every row of y (rows, N)
-    at row-wise tau2 and gamma, as (rows, ks.size).
-
-    Written in lam = tau2 / gamma, a cluster enters through its sums of y
-    and z against z/h and z/(h (k + s)); the y sums come from two einsums
-    over that cluster's observations.  Once the plug-in vmax is known the
-    score is linear in these sums, so five (rows, ks.size) accumulators
-    suffice and no array spans rows, grid points and observations at once.
-    """
-    lam = (tau2 / gamma)[:, None]
-    num, den, p1, p3, p4 = np.zeros((5, y.shape[0], ks.size))
-    q2 = 0.0
-    bounds = np.append(starts, s.size)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sj = s[lo:hi]
-        d = ks[:, None] + sj
-        z = sj / d
-        zh = z / h[lo:hi]
-        eh = zh / d
-        a2 = (zh * z).sum(axis=1)
-        q2j = (eh * z).sum(axis=1)
-        a1 = np.einsum("rn,kn->rk", y[:, lo:hi], zh)
-        cl = lam / (1.0 + lam * a2)
-        t = 1.0 - cl * a2
-        num += a1 * t
-        den += a2 * t
-        p1 += np.einsum("rn,kn->rk", y[:, lo:hi], eh)
-        cl *= q2j
-        p3 += cl * a1
-        p4 += cl * a2
-        q2 = q2 + q2j
-    # -vhat * ((p1 - p3) - vhat * (q2 - p4)) / gamma, in place
-    vhat = np.divide(num, den, out=num)
-    p1 -= p3
-    p4 -= q2
-    p4 *= vhat
-    p1 += p4
-    p1 *= vhat
-    p1 /= gamma[:, None]
-    return np.negative(p1, out=p1)
 
 
 def _covariance_rows(s, h, starts, vmax, km, tau2, gamma):
@@ -605,12 +568,13 @@ def fit_clustered_rows(
 
     ``pooled`` (rows, 2) holds each row's pooled (vmax, km) fit under spec,
     NaN where it failed, as single.fit_rows(s, y, spec).theta returns them;
-    fit_clustered starts from the same fit.  Rows then take its first
-    iteration together, BLOCK_ROWS at a time: a grid scan and solve_rows for
-    the km roots, then the moment update and the change test, undamped (from
-    a pooled start the damping rule moves only rounding).  Rows that do not
-    pass, and rows without a pooled start, a bracket, a positive vmax or
-    finite moments, are fit one by one through fit_clustered.
+    fit_clustered starts from the same fit.  When every cluster observes the
+    same levels in the same order, the GLS profile's root at any (tau2,
+    gamma) is the pooled root (see the module docstring), so the pooled fit
+    is the alternation's fixed point: a row with a pooled start takes it,
+    with the moments and the covariance there, BLOCK_ROWS at a time.  Rows
+    without a pooled start or with invalid moments, and every row of an
+    unbalanced design, are fit one by one through fit_clustered.
     """
     s = np.asarray(s, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.intp)
@@ -624,60 +588,25 @@ def fit_clustered_rows(
     iterations = np.zeros(rows, dtype=np.intp)
 
     start = np.asarray(pooled, dtype=np.float64)
-    started = np.isfinite(start).all(axis=1)
+    started = np.isfinite(start).all(axis=1) & _balanced(s, starts)
     fallback = list(np.flatnonzero(~started))
     h = eval_h(spec, s)
-    ks = log_grid(*k_bracket(s)) if started.any() else None
     block = single.BLOCK_ROWS
     for first in range(0, rows, block):
         live = first + np.flatnonzero(started[first:first + block])
-        floor = GAMMA_FLOOR_REL * y[live].var(axis=1)
         vmax, km = start[live, 0], start[live, 1]
+        floor = GAMMA_FLOOR_REL * y[live].var(axis=1)
         t2, g, valid = _moment_rows(s, h, starts, y[live], vmax, km, floor)
-        fallback.extend(live[~valid])
-        live, floor = live[valid], floor[valid]
-        vmax, km, t2, g = vmax[valid], km[valid], t2[valid], g[valid]
-        if live.size:
-            yl = y[live]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                values = _score_grid(ks, s, h, starts, yl, t2, g)
-
-            def sums(x, i):
-                return _score_sums(
-                    *_loadings(x, s), yl[i], 1.0 / (g[i, None] * h), starts, t2[i, None]
-                )
-
-            new_vmax = np.full(live.size, np.nan)  # NaN: no bracket
-            with np.errstate(divide="ignore", invalid="ignore"):
-                new_km = solve_rows(values, ks, lambda x, i: _score(*sums(x, i))).root
-                rooted = np.flatnonzero(np.isfinite(new_km))
-                new_vmax[rooted] = sums(new_km[rooted], rooted)[0]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                new_t2, new_g, valid = _moment_rows(s, h, starts, yl, new_vmax, new_km, floor)
-            change = np.maximum.reduce([
-                _rel_change_rows(vmax, new_vmax),
-                _rel_change_rows(km, new_km),
-                _rel_change_rows(t2, new_t2),
-                _rel_change_rows(g, new_g),
-            ])
-            done = valid & np.isfinite(new_vmax) & (new_vmax > 0) & (change < REL_TOL)
-            at = live[done]
-            iterations[at] = 1
-            theta[at] = np.column_stack([new_vmax[done], new_km[done]])
-            tau2[at], gamma[at] = new_t2[done], new_g[done]
-            fallback.extend(live[~done])
-
-        at = first + np.flatnonzero(np.isfinite(theta[first:first + block]).all(axis=1))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cov, ok = _covariance_rows(
-                s, h, starts, theta[at, 0], theta[at, 1], tau2[at], gamma[at]
-            )
-        se[at[ok]] = np.sqrt(np.maximum(np.diagonal(cov[ok], axis1=1, axis2=2), 0.0))
-        converged[at[ok]] = True
-        theta[at[~ok]] = np.nan
-        tau2[at[~ok]] = gamma[at[~ok]] = np.nan
-        failure[at[~ok]] = SingularInformation.__name__
-        iterations[at[~ok]] = 0
+            cov, ok = _covariance_rows(s, h, starts, vmax, km, t2, g)
+        fallback.extend(live[~valid])
+        failure[live[valid & ~ok]] = SingularInformation.__name__
+        fit = valid & ok
+        at = live[fit]
+        theta[at], tau2[at], gamma[at] = start[at], t2[fit], g[fit]
+        se[at] = np.sqrt(np.maximum(np.diagonal(cov[fit], axis1=1, axis2=2), 0.0))
+        converged[at] = True
+        iterations[at] = 1
 
     for i in fallback:
         try:

@@ -31,6 +31,10 @@ class IngestOptions:
     cluster_col: str = "cluster"
     delimiter: str = ","
 
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class InputTable:
@@ -86,6 +90,13 @@ def ingest_csv(path: str | Path, options: IngestOptions | None = None) -> InputT
             raise EmptyAfterFiltering(f"{path}: file is empty") from None
         header = [col.strip() for col in header]
         index = {col: i for i, col in enumerate(header)}
+        for selected in (
+            options.substrate_col, options.velocity_col, options.group_col, options.cluster_col
+        ):
+            if header.count(selected) > 1:
+                raise IngestError(
+                    f"{path}: column {selected!r} appears more than once in header {header}"
+                )
         for required in (options.substrate_col, options.velocity_col):
             if required not in index:
                 raise MissingColumn(

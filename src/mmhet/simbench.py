@@ -22,13 +22,13 @@ same arrays as a Dataset or ClusteredDataset.
 Each (scenario, method) cell fits all its replicates with one call:
 single.fit_rows for the single-curve and pooled fits, which refits the
 replicates its batched root stage cannot bracket through fit_single, and
-cluster.fit_clustered_rows for the clustered fit, which starts from the
-pooled cell's fits under its spec, takes the alternation's first iteration
-for all replicates in lockstep (on the suite's balanced panels that is the
-fixed point) and hands the replicates it does not converge to
-fit_clustered.  Each row's arithmetic is
-independent of the rows beside it, so reports are identical whatever the
-block size single.BLOCK_ROWS.
+cluster.fit_clustered_rows for the clustered fit, which takes the pooled
+cell's fits under its spec as the alternation's fixed point (on the suite's
+balanced panels GLS equals the pooled weighted fit), with the moments and
+covariance there, and hands the replicates without a pooled fit or valid
+moments to fit_clustered.  Each row's arithmetic is independent of the rows
+beside it, so reports are identical whatever the block size
+single.BLOCK_ROWS.
 """
 
 from __future__ import annotations

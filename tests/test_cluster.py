@@ -299,7 +299,7 @@ def test_balanced_suite_panels_stop_at_the_pooled_fit(master_seed):
     # the mean Jacobian, so GLS equals the pooled weighted fit (a Kruskal
     # 1968-type identity): the first GLS profile re-finds the pooled root and
     # the alternation stops after one iteration.  fit_clustered_rows takes
-    # only that iteration in lockstep.
+    # the pooled fit as that fixed point.
     for m in (3, 6):
         sc = ClusterScenario(m=m, master_seed=master_seed)
         for r in range(50):
@@ -309,7 +309,7 @@ def test_balanced_suite_panels_stop_at_the_pooled_fit(master_seed):
             assert res.converged and res.iterations == 1
             got, want = res.params.as_array(), pooled.params.as_array()
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
-        # the lockstep rows stop there too, none handed to fit_clustered
+        # the rows stop there too, none handed to fit_clustered
         s = np.tile(sc.cluster_s(), m)
         starts = np.arange(m) * sc.cluster_s().size
         y = np.array([generate_clustered(sc, r).pooled().y for r in range(50)])
@@ -318,8 +318,80 @@ def test_balanced_suite_panels_stop_at_the_pooled_fit(master_seed):
         assert not rows.fallback.any()
 
 
+def _random_balanced_panel(seed):
+    # 4 clusters sharing 6 random levels, each observed twice
+    rng = np.random.default_rng(seed)
+    s = np.repeat(np.sort(rng.uniform(0.5, 150.0, 6)), 2)
+    return ClusteredDataset(tuple(
+        Dataset(s, (100.0 + shift) * s / (20.0 + s) + 5.0 * s**0.25 * rng.standard_normal(s.size))
+        for shift in rng.normal(0.0, 40.0, 4)
+    ))
+
+
+@pytest.mark.parametrize("panel", ["m3", "m6", "random", "plate"])
+def test_gls_profile_on_balanced_panels_is_the_pooled_fit(panel):
+    # fit_clustered_rows' fixed point: when every cluster observes the same
+    # levels in the same order, the GLS profile at any (tau2, gamma) has the
+    # pooled weighted fit's root and plug-in vmax.  On an unbalanced plate
+    # panel it does only at tau2 = 0.  (Past tau2 ~ 1e8 with gamma at its
+    # floor, _score_sums' t = 1 - c * a2 loses every digit.)
+    data = {
+        "m3": lambda: generate_clustered(ClusterScenario(m=3), 0),
+        "m6": lambda: generate_clustered(ClusterScenario(m=6), 1),
+        "random": lambda: _random_balanced_panel(0),
+        "plate": lambda: _plate_panel(1),
+    }[panel]()
+    want = fit_single(data.pooled(), POW_HALF).params.as_array()
+    prepared = _prepare(*_stack(data), POW_HALF)
+    var_y = float(np.var(data.pooled().y))
+    for tau2 in (0.0, 1e2, 1e6):
+        for gamma in (var_y, GAMMA_FLOOR_REL * var_y):
+            km, vmax, _ = gls_km_profile(prepared, tau2, gamma)
+            rel = np.max(np.abs(np.array([vmax, km]) - want) / want)
+            assert (rel <= 1e-12) == (panel != "plate" or tau2 == 0.0)
+
+
+def _row_bits(rows, i):
+    # float.hex of row i's (vmax, km, se_vmax, se_km, gamma, tau2)
+    return [float.hex(float(v)) for v in (*rows.theta[i], *rows.se[i], rows.gamma[i], rows.tau2[i])]
+
+
+def _fit_bits(fit):
+    # float.hex of fit_clustered's (vmax, km, se_vmax, se_km, gamma, tau2)
+    return [float.hex(float(v)) for v in (*fit.params.as_array(), *fit.se, fit.gamma, fit.tau2)]
+
+
+def test_unbalanced_rows_and_rows_without_a_pooled_fit_go_to_fit_clustered():
+    # Clusters of equal size at different levels are unbalanced: every row
+    # goes to fit_clustered and reports its result bit for bit.
+    rng = np.random.default_rng(3)
+    s = np.concatenate([PLATE_LEVELS * (1.0 + 0.1 * i) for i in range(3)])
+    starts = np.arange(3) * PLATE_LEVELS.size
+    y = 100.0 * s / (20.0 + s) + rng.normal(0.0, 3.0, (3, s.size))
+    rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
+    assert rows.fallback.all()
+    for i in range(3):
+        one = fit_clustered(ClusteredDataset(tuple(
+            Dataset(s[lo:lo + PLATE_LEVELS.size], y[i, lo:lo + PLATE_LEVELS.size]) for lo in starts
+        )), POW_HALF)
+        assert _row_bits(rows, i) == _fit_bits(one)
+        assert (rows.iterations[i], rows.converged[i]) == (one.iterations, one.converged)
+
+    # On a balanced design only the row without a pooled fit falls back.
+    sc = ClusterScenario(m=3)
+    panels = [generate_clustered(sc, r) for r in range(4)]
+    s, starts, _ = _stack(panels[0])
+    y = np.array([p.pooled().y for p in panels])
+    pooled = fit_rows(s, y, POW_HALF).theta
+    pooled[2] = np.nan
+    rows = fit_clustered_rows(s, starts, y, POW_HALF, pooled)
+    assert rows.fallback.tolist() == [False, False, True, False]
+    assert rows.iterations.tolist() == [1, 1, 1, 1] and rows.converged.all()
+    assert _row_bits(rows, 2) == _fit_bits(fit_clustered(panels[2], POW_HALF))
+
+
 def test_fit_clustered_rows_names_fit_clustered_failures():
-    # Rows the lockstep stage cannot start go to fit_clustered, whose
+    # Rows without a pooled fit go to fit_clustered, whose
     # exception names the failure: two substrate levels cannot identify the
     # curve, and one-observation clusters leave tau2 without a moment.
     y = np.random.default_rng(0).normal(5.0, 1.0, (2, 12))
@@ -336,8 +408,8 @@ def test_fit_clustered_rows_names_fit_clustered_failures():
 
 @pytest.mark.parametrize("m, replicate", [(3, 927), (6, 415)])
 def test_singular_lockstep_rows_report_no_iterations(m, replicate):
-    # These suite replicates pass the lockstep change test with gamma at its
-    # floor, where the information is singular: the row names the failure
+    # At the pooled fit of these suite replicates gamma is at its floor,
+    # where the information is singular: the row names the failure
     # fit_clustered raises, with iterations 0 as for any row that raised.
     data = generate_clustered(ClusterScenario(m=m, master_seed=DEFAULT_MASTER_SEED), replicate)
     s, starts, y = _stack(data)
@@ -458,10 +530,9 @@ def test_cycle_replay_matches_the_plain_alternation(seed):
 
 
 def test_fit_clustered_rows_report_iterations_and_fallback():
-    # The lockstep stage takes one iteration.  These unbalanced panels are
-    # still moving after it (seed 1 converges after 9 iterations, seed 34
-    # stalls until MAX_ITER), so each goes to fit_clustered, whose result
-    # the row reports bit for bit.
+    # These panels are unbalanced (seed 1 converges after 9 iterations,
+    # seed 34 stalls until MAX_ITER), so each goes to fit_clustered, whose
+    # result the row reports bit for bit.
     for seed in (1, 34):
         data = _plate_panel(seed)
         s, starts, y = _stack(data)
@@ -469,9 +540,7 @@ def test_fit_clustered_rows_report_iterations_and_fallback():
         rows = fit_clustered_rows(s, starts, y, POW_HALF, fit_rows(s, y, POW_HALF).theta)
         one = fit_clustered(data, POW_HALF)
         assert rows.fallback.tolist() == [True]
-        got = np.hstack([rows.theta[0], rows.se[0], rows.gamma, rows.tau2])
-        want = np.hstack([one.params.as_array(), one.se, one.gamma, one.tau2])
-        assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want.tolist()]
+        assert _row_bits(rows, 0) == _fit_bits(one)
         assert rows.iterations.tolist() == [one.iterations]
         assert rows.converged.tolist() == [one.converged]
 

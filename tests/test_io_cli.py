@@ -30,7 +30,7 @@ from mmhet import (
 )
 from mmhet.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, cli_dispatch
 from mmhet.dataio import IngestOptions, InputTable
-from mmhet.exceptions import EmptyAfterFiltering, MissingColumn, ParseError
+from mmhet.exceptions import EmptyAfterFiltering, IngestError, MissingColumn, ParseError
 from mmhet.report import FIT_CSV_COLUMNS, METRIC_CSV_COLUMNS, fit_block, screen_blocks
 from mmhet import single
 from mmhet.simbench import DEFAULT_MASTER_SEED
@@ -157,6 +157,19 @@ def test_ingest_custom_names_and_delimiter(tmp_path):
         IngestOptions(substrate_col="conc", velocity_col="rate", delimiter=";"),
     )
     assert table.rows_out == 2
+    for delimiter in (";;", ""):
+        with pytest.raises(ValueError, match="one character"):
+            IngestOptions(delimiter=delimiter)
+
+
+def test_ingest_rejects_a_repeated_selected_column(tmp_path):
+    # A selected column named twice is ambiguous; an unselected one is not read.
+    for header in ("substrate,velocity,velocity", "substrate,velocity,group,group"):
+        path = _write(tmp_path, "d.csv", f"{header}\n1,2,3,4\n")
+        with pytest.raises(IngestError, match=repr(header.rsplit(",", 1)[1])):
+            ingest_csv(path)
+    path = _write(tmp_path, "u.csv", "substrate,velocity,note,note\n1,2,a,b\n")
+    assert ingest_csv(path).rows_out == 1
 
 
 def test_ingest_blank_lines_skipped(tmp_path):
@@ -484,6 +497,9 @@ def test_cli_usage_errors(tmp_path):
     ) == EXIT_USAGE
     assert cli_dispatch(["simulate", "--seed", "-1"]) == EXIT_USAGE
     assert cli_dispatch(["simulate", "--replicate", "-1"]) == EXIT_USAGE
+    # a delimiter must be one character
+    assert cli_dispatch(fit + ["--delimiter", ";;"]) == EXIT_USAGE
+    assert cli_dispatch(fit + ["--delimiter", ""]) == EXIT_USAGE
 
 
 def test_cli_data_errors(tmp_path):
@@ -495,6 +511,8 @@ def test_cli_data_errors(tmp_path):
     )
     bad = _write(tmp_path, "bad.csv", "substrate,velocity\nx,y\n")
     assert cli_dispatch(["fit", "--input", bad, "--variance", "constant"]) == EXIT_DATA
+    twice = _write(tmp_path, "twice.csv", "substrate,velocity,velocity\n1,2,3\n")
+    assert cli_dispatch(["fit", "--input", twice, "--variance", "constant"]) == EXIT_DATA
 
 
 def test_cli_nonconverged_still_writes_report(tmp_path):

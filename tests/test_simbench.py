@@ -525,14 +525,15 @@ def _loop_clustered(panels, spec):
     return ok, theta, se, gamma, tau2
 
 
-# "shipped" runs the suite's default scenarios, whose replicates all finish
-# in the lockstep stage.  "fallback" brackets no row there, so every row goes
-# through fit_clustered's per-panel fit.  "floor" holds the two replicates of the
-# default R=1000 suite whose gamma is pinned at its floor and whose
-# information is singular (m3 replicate 927, m6 replicate 415), each beside
-# replicate 0.  The lockstep and scalar root stages stop at roots up to
-# ~1e-14 apart, and cluster_covariance's rank-one downdate loses digits when
-# tau2 * z'Ginv z is large, which bounds the se agreement.
+# "shipped" runs the suite's default scenarios, whose balanced replicates
+# all take their pooled fit as the fixed point.  "fallback" passes all-NaN
+# pooled fits, so every row goes through fit_clustered's per-panel fit.
+# "floor" holds the two replicates of the default R=1000 suite whose gamma is
+# pinned at its floor and whose information is singular (m3 replicate 927,
+# m6 replicate 415), each beside replicate 0.  The pooled root and
+# fit_clustered's GLS root are up to ~1e-14 apart, and cluster_covariance's
+# rank-one downdate loses digits when tau2 * z'Ginv z is large, which bounds
+# the se agreement.
 _CLUSTER_CASES = {
     "shipped-m3": (3, range(60), 1e-12),
     "shipped-m6": (6, range(60), 1e-12),
@@ -558,12 +559,13 @@ def test_clustered_cell_matches_fit_clustered_loop(monkeypatch, case):
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(cluster, "_fit_stacked", counted)
-    if case == "fallback":
-        monkeypatch.setattr(cluster, "solve_rows", _bracket_nothing)
     s = np.tile(sc.cluster_s(), m)
     starts = np.arange(m) * sc.cluster_s().size
     y = np.array([p.pooled().y for p in panels])
-    got = simbench._clustered_cell(s, starts, y, spec, single.fit_rows(s, y, spec).theta)
+    pooled = single.fit_rows(s, y, spec).theta
+    if case == "fallback":
+        pooled = np.full_like(pooled, np.nan)
+    got = simbench._clustered_cell(s, starts, y, spec, pooled)
 
     assert len(calls) == (len(panels) if case == "fallback" else 0)
     assert np.array_equal(got.ok, want[0])
