@@ -27,15 +27,9 @@ damping rule.
 
 An iteration is a function of the (tau2, gamma) it starts from alone.  So
 when iteration j starts from the exact bits iteration i < j started from and
-does not converge, the alternation has entered a cycle of period j - i: each
-later iteration k repeats iteration i + (k - i) % (j - i), and its change
-repeats one of iterations i+1..j's, all at least REL_TOL, so it would run to
-MAX_ITER.  The fit stops at j and returns iteration MAX_ITER's outcome as
-recorded at i + (MAX_ITER - i) % (j - i), with ``iterations = MAX_ITER``
-(the length of the alternation the result stands for, not the iterations
-computed), the damped steps of the replayed iterations added in, and
-``cycle = (i, j - i)``.  Its result is the one iterating to MAX_ITER gives,
-bit for bit.
+does not converge, the alternation has entered a cycle of period j - i that
+never passes the change test.  The fit stops there and returns iteration j's
+own outcome, with ``iterations = j`` and ``cycle = (i, j - i)``.
 
 ``fit_clustered_rows`` fits many panels that share one stacked design and
 cluster layout (the clustered Monte Carlo suite's replicates).  When every
@@ -66,10 +60,8 @@ from .core import (
     VarianceSpec,
     eval_h,
     mm_gradient,
-    mm_mean,
     wald_z,
 )
-from . import single
 from .exceptions import (
     DegenerateDesign,
     InsufficientReplication,
@@ -107,14 +99,14 @@ class ClusterFitResult:
     se: np.ndarray
     ci_vmax: tuple[float, float]
     ci_km: tuple[float, float]
-    iterations: int
+    iterations: int  # alternation iterations computed
     converged: bool
     boundary_tau2: bool
     variance_spec: VarianceSpec
     alpha: float
-    damped_steps: int  # iterations whose moment step the DAMPING rule halved
-    # (first iteration whose starting (tau2, gamma) recurred, period) when
-    # the fit stopped in a replayed cycle, else None
+    damped_steps: int  # computed iterations whose moment step DAMPING halved
+    # (i, j - i) when iteration j started from iteration i's (tau2, gamma)
+    # and the fit stopped there, else None
     cycle: tuple[int, int] | None
 
 
@@ -392,8 +384,9 @@ def fit_clustered(
     Initialization pools all clusters through the single-curve fit under the
     same working shape.  Nonconvergence within MAX_ITER returns the last
     iterate flagged converged=False rather than raising; an alternation
-    caught in an exact cycle is replayed to MAX_ITER (see the module
-    docstring) and says so in ``cycle``.
+    caught in an exact cycle stops at the first iteration that starts from
+    an earlier one's (tau2, gamma) and says so in ``cycle`` (see the module
+    docstring).  ``iterations`` counts the iterations computed.
     """
     return _fit_stacked(*_stack(data), spec, conf)
 
@@ -426,7 +419,6 @@ def _fit_stacked(
     cycle = None
     diag: SolverDiagnostics | None = None
     started: dict[bytes, int] = {}  # bits of each iteration's (tau2, gamma) -> iteration
-    trail = []  # iteration k's (params, tau2, gamma, truncated, damped) at k - 1
     for iterations in range(1, MAX_ITER + 1):
         first = started.setdefault(struct.pack("<2d", tau2, gamma), iterations)
         scan_to = int(panel.ks.searchsorted(params.km)) + SCAN_AHEAD
@@ -439,11 +431,9 @@ def _fit_stacked(
         new_params = MMParams(vmax, km)
         moments = _moment_update(panel, new_params, gamma_floor)
         new_tau2, new_gamma, truncated = moments.tau2, moments.gamma, moments.truncated
-        damp = bool(
-            _neg2_working_loglik(panel, moments, new_tau2, new_gamma)
-            > _neg2_working_loglik(panel, moments, tau2, gamma)
-        )
-        if damp:
+        if _neg2_working_loglik(panel, moments, new_tau2, new_gamma) > _neg2_working_loglik(
+            panel, moments, tau2, gamma
+        ):
             new_tau2 = tau2 + DAMPING * (new_tau2 - tau2)
             new_gamma = gamma + DAMPING * (new_gamma - gamma)
             damped += 1
@@ -457,14 +447,8 @@ def _fit_stacked(
         if change < REL_TOL:
             converged = True
             break
-        trail.append((params, tau2, gamma, truncated, damp))
         if first < iterations:
-            # Iteration k >= first repeats iteration first + (k - first) % period.
-            period = iterations - first
-            replayed = [first + (k - first) % period for k in range(iterations + 1, MAX_ITER + 1)]
-            damped += sum(trail[k - 1][4] for k in replayed)
-            params, tau2, gamma, truncated, _ = trail[first + (MAX_ITER - first) % period - 1]
-            iterations, cycle = MAX_ITER, (first, period)
+            cycle = (first, iterations - first)
             break
 
     cov = cluster_covariance(panel, params, tau2, gamma)
@@ -572,8 +556,8 @@ def fit_clustered_rows(
     same levels in the same order, the GLS profile's root at any (tau2,
     gamma) is the pooled root (see the module docstring), so the pooled fit
     is the alternation's fixed point: a row with a pooled start takes it,
-    with the moments and the covariance there, BLOCK_ROWS at a time.  Rows
-    without a pooled start or with invalid moments, and every row of an
+    with the moments and the covariance there, all such rows in one pass.
+    Rows without a pooled start or with invalid moments, and every row of an
     unbalanced design, are fit one by one through fit_clustered.
     """
     s = np.asarray(s, dtype=np.float64)
@@ -591,22 +575,20 @@ def fit_clustered_rows(
     started = np.isfinite(start).all(axis=1) & _balanced(s, starts)
     fallback = list(np.flatnonzero(~started))
     h = eval_h(spec, s)
-    block = single.BLOCK_ROWS
-    for first in range(0, rows, block):
-        live = first + np.flatnonzero(started[first:first + block])
-        vmax, km = start[live, 0], start[live, 1]
-        floor = GAMMA_FLOOR_REL * y[live].var(axis=1)
-        t2, g, valid = _moment_rows(s, h, starts, y[live], vmax, km, floor)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cov, ok = _covariance_rows(s, h, starts, vmax, km, t2, g)
-        fallback.extend(live[~valid])
-        failure[live[valid & ~ok]] = SingularInformation.__name__
-        fit = valid & ok
-        at = live[fit]
-        theta[at], tau2[at], gamma[at] = start[at], t2[fit], g[fit]
-        se[at] = np.sqrt(np.maximum(np.diagonal(cov[fit], axis1=1, axis2=2), 0.0))
-        converged[at] = True
-        iterations[at] = 1
+    live = np.flatnonzero(started)
+    vmax, km = start[live, 0], start[live, 1]
+    floor = GAMMA_FLOOR_REL * y[live].var(axis=1)
+    t2, g, valid = _moment_rows(s, h, starts, y[live], vmax, km, floor)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cov, ok = _covariance_rows(s, h, starts, vmax, km, t2, g)
+    fallback.extend(live[~valid])
+    failure[live[valid & ~ok]] = SingularInformation.__name__
+    fit = valid & ok
+    at = live[fit]
+    theta[at], tau2[at], gamma[at] = start[at], t2[fit], g[fit]
+    se[at] = np.sqrt(np.maximum(np.diagonal(cov[fit], axis1=1, axis2=2), 0.0))
+    converged[at] = True
+    iterations[at] = 1
 
     for i in fallback:
         try:

@@ -23,6 +23,13 @@ import numpy as np
 # weights finite at s = 0 without perturbing realistic design points.
 H_FLOOR = 1e-12
 
+# Stream tags of the single-curve suite, the clustered suite and the wild
+# bootstrap.  Their replicate streams stay independent only while these
+# differ.
+SINGLE_STREAM = 1
+CLUSTER_STREAM = 2
+BOOT_STREAM = 3
+
 
 class VarianceFamily(str, Enum):
     CONSTANT = "constant"
@@ -118,6 +125,12 @@ def eval_h(spec: VarianceSpec, s):
         h = np.power(arr, spec.exponent)
     h = np.maximum(h, H_FLOOR)
     return float(h) if h.ndim == 0 else h
+
+
+def replicate_stream(seed: int, tag: int, index: int) -> np.random.Generator:
+    """The random stream of replicate ``index`` under ``seed`` and the
+    stream tag ``tag``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
 
 
 @dataclass(frozen=True)

@@ -42,20 +42,20 @@ import numpy as np
 
 from .cluster import fit_clustered, fit_clustered_rows  # fit_clustered: bench/tracing.py wraps it here
 from .core import (
+    CLUSTER_STREAM,
     DEFAULT_CANDIDATES,
+    SINGLE_STREAM,
     ClusteredDataset,
     Dataset,
     MMParams,
     VarianceSpec,
     eval_h,
     mm_mean,
+    replicate_stream,
     wald_z,
 )
 from .exceptions import InsufficientSuccesses
 from .single import fit_rows, fit_single  # fit_single: bench/tracing.py wraps it here
-
-SINGLE_STREAM = 1
-CLUSTER_STREAM = 2
 
 # Default master seed for the shipped benchmark configuration.  Chosen by a
 # documented sweep (scripts/calibrate_benchmarks.py) so the R=1000 reference
@@ -84,10 +84,6 @@ def true_variance(shape: VarianceShape, s) -> np.ndarray:
     if shape is VarianceShape.EXP:
         return _V_FLOOR + _V_SPAN * (1.0 - np.exp(-0.05 * arr))
     return _V_FLOOR + _V_SPAN * arr * arr / (400.0 + arr * arr)
-
-
-def _stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, tag, index)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ def _single_responses(scenario: SingleScenario, replicates: Sequence[int]) -> np
     s = scenario.grid()
     z = np.empty((len(replicates), s.size))
     for r, row in zip(replicates, z):
-        _stream(scenario.master_seed, SINGLE_STREAM, r).standard_normal(out=row)
+        replicate_stream(scenario.master_seed, SINGLE_STREAM, r).standard_normal(out=row)
     return mm_mean(s, scenario.truth) + np.sqrt(true_variance(scenario.shape, s)) * z
 
 
@@ -174,7 +170,7 @@ def _cluster_responses(scenario: ClusterScenario, replicates: Sequence[int]) -> 
     shifts = np.empty((len(replicates), scenario.m))
     z = np.empty((len(replicates), scenario.m, s.size))
     for r, shift, panel in zip(replicates, shifts, z):
-        rng = _stream(scenario.master_seed, CLUSTER_STREAM, r)
+        rng = replicate_stream(scenario.master_seed, CLUSTER_STREAM, r)
         shift[:] = rng.normal(0.0, scenario.tau, size=scenario.m)
         rng.standard_normal(out=panel)
     noise_sd = np.sqrt(scenario.gamma_true * eval_h(scenario.h_true, s))

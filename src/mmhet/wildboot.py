@@ -22,12 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, mm_mean
+from .core import BOOT_STREAM, Dataset, mm_mean, replicate_stream
 from .exceptions import TooManyFailures
 from .single import FitResult, fit_rows, fit_single  # fit_single: bench/tracing.py wraps it here
-
-# Stream tag separating bootstrap draws from the benchmark generators.
-BOOT_STREAM = 3
 
 # Mammen two-point law: values -(sqrt5-1)/2 and (sqrt5+1)/2 with
 # probabilities (sqrt5+1)/(2 sqrt5) and (sqrt5-1)/(2 sqrt5); matches the
@@ -84,10 +81,6 @@ def draw_multipliers(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown multiplier law {kind!r}")
 
 
-def _replicate_stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, BOOT_STREAM, index)))
-
-
 def _linear_quantiles(x: np.ndarray, probs) -> np.ndarray:
     """numpy's quantile(x, probs, axis=0, method="linear") for a nonempty x
     (n, k), as (len(probs), k).
@@ -123,7 +116,8 @@ def replicate_pivots(
     # y*_b = mu + resid * w_b, built in place over the multipliers
     y = np.empty((conf.replicates, data.n))
     for b in range(conf.replicates):
-        y[b] = draw_multipliers(conf.multiplier, data.n, _replicate_stream(conf.seed, b + 1))
+        rng = replicate_stream(conf.seed, BOOT_STREAM, b + 1)
+        y[b] = draw_multipliers(conf.multiplier, data.n, rng)
     y *= resid
     y += mu
     rows = fit_rows(data.s, y, fit.variance_spec)

@@ -141,12 +141,11 @@ def long_double_cluster_covariance(clusters, vmax, km, tau2, gamma, h_of):
 
 def plain_alternation(data, spec, alpha=0.05):
     """fit_clustered's result, from its own pooled start, km profile, moment
-    update and damping rule, iterated until the change test passes or
-    MAX_ITER iterations have run, with no cycle replay.
+    update and damping rule, each km solve a cold scan of the whole grid.
 
-    ``cycle`` is read off the iterates afterwards: for a fit that did not
-    converge, the first iteration whose starting (tau2, gamma) bits a later
-    iteration starts from again, and the distance to that later iteration.
+    It iterates until the change test passes, until an iteration that fails
+    it started from the (tau2, gamma) bits an earlier iteration started
+    from, or until MAX_ITER iterations have run.
     """
     pooled = data.pooled()
     try:
@@ -157,11 +156,12 @@ def plain_alternation(data, spec, alpha=0.05):
     floor = GAMMA_FLOOR_REL * float(np.var(pooled.y))
     moments = _moment_update(panel, params, floor)
     tau2, gamma, truncated = moments.tau2, moments.gamma, moments.truncated
-    states = []
+    states = []  # iteration k's starting (tau2, gamma) bits at k - 1
     converged = False
+    cycle = None
     damped = 0
     for iterations in range(1, MAX_ITER + 1):
-        states.append(struct.pack("<2d", tau2, gamma))
+        state = struct.pack("<2d", tau2, gamma)
         km, vmax, diag = gls_km_profile(panel, tau2, gamma)
         new_params = MMParams(vmax, km)
         moments = _moment_update(panel, new_params, floor)
@@ -182,13 +182,11 @@ def plain_alternation(data, spec, alpha=0.05):
         if change < REL_TOL:
             converged = diag.converged
             break
-    cycle = None
-    if not converged:
-        for j, state in enumerate(states):
-            if state in states[:j]:
-                i = states.index(state)
-                cycle = (i + 1, j - i)
-                break
+        if state in states:
+            first = states.index(state) + 1
+            cycle = (first, iterations - first)
+            break
+        states.append(state)
     cov = cluster_covariance(panel, params, tau2, gamma)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     z = wald_z(alpha)

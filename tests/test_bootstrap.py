@@ -13,6 +13,7 @@ from mmhet import (
     wild_bootstrap_ci,
 )
 from mmhet import single, wildboot
+from mmhet.core import BOOT_STREAM, replicate_stream
 from mmhet.exceptions import MMHetError, TooManyFailures
 from mmhet.wildboot import (
     MAMMEN_HIGH,
@@ -161,7 +162,7 @@ def _loop_pivots(data, fit, conf):
     reasons = []
     for b in range(1, conf.replicates + 1):
         w = draw_multipliers(
-            conf.multiplier, data.n, wildboot._replicate_stream(conf.seed, b)
+            conf.multiplier, data.n, replicate_stream(conf.seed, BOOT_STREAM, b)
         )
         try:
             refit = fit_single(Dataset(data.s, mu + (data.y - mu) * w), fit.variance_spec)

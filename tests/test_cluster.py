@@ -1,3 +1,4 @@
+import struct
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +20,6 @@ from mmhet import (
 from mmhet import rootfind
 from mmhet.cluster import (
     GAMMA_FLOOR_REL,
-    MAX_ITER,
     _covariance_rows,
     _loadings,
     _moment_update,
@@ -463,8 +463,8 @@ def _plate_panel(seed):
 
 # case -> seed, float.hex of (vmax, km, tau2, gamma, se_vmax, se_km),
 # iterations, converged.  "gamma_floor" ends with gamma at its floor,
-# "boundary_tau2" with tau2 truncated at 0, and "max_iter" stalls at the
-# floor until the iteration cap.
+# "boundary_tau2" with tau2 truncated at 0, and "max_iter" never converges:
+# it cycles at the floor and stops at its first repeated state.
 _PINNED = {
     "converged": (1, (
         "0x1.aa678993fa84ep+6", "0x1.26622b636d448p+4", "0x1.313fad82387cfp+7",
@@ -481,7 +481,7 @@ _PINNED = {
     "max_iter": (34, (
         "0x1.00ff4fbb6cc23p+7", "0x1.3d6d4b129c095p+4", "0x1.114fcf1f32dc2p+12",
         "0x1.e505d3250c34fp-29", "0x1.316d21786c081p+5", "0x1.887b02b57ce8dp-15",
-    ), MAX_ITER, False),
+    ), 92, False),
 }
 
 
@@ -493,7 +493,7 @@ def test_fit_clustered_pinned_on_unbalanced_panels(case):
     got = (res.params.vmax, res.params.km, res.tau2, res.gamma, *res.se.tolist())
     assert [float.hex(v) for v in got] == list(want)
     assert (res.iterations, res.converged) == (iterations, converged)
-    # seed 34 repeats iteration 90's (tau2, gamma) two iterations later
+    # seed 34's iteration 92 starts from iteration 90's (tau2, gamma)
     assert res.cycle == ((90, 2) if case == "max_iter" else None)
     floor = GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
     assert (res.gamma == floor) == (case in ("gamma_floor", "max_iter"))
@@ -521,7 +521,7 @@ def _field_bits(res) -> dict:
 
 
 @pytest.mark.parametrize("seed", [1, 9, 21, 34, 128, 148])
-def test_cycle_replay_matches_the_plain_alternation(seed):
+def test_cycle_stop_matches_the_plain_alternation(seed):
     # Seeds 9-148 cycle with periods 8, 3, 2, 18 and 2; seed 1 converges.
     data = _plate_panel(seed)
     res = fit_clustered(data, POW_HALF)
@@ -529,10 +529,38 @@ def test_cycle_replay_matches_the_plain_alternation(seed):
     assert _field_bits(res) == _field_bits(plain_alternation(data, POW_HALF))
 
 
+@pytest.mark.parametrize("seed", [1, 9, 21, 34, 128, 148])
+def test_cycling_fit_stops_at_its_first_repeated_state(monkeypatch, seed):
+    # Each km solve records the (tau2, gamma) its iteration starts from and
+    # its (km, vmax).  A cycling fit computes iterations up to the first one
+    # that starts from an earlier one's state, and returns that one's own
+    # outcome; seed 1 converges with no state repeated.
+    calls = []
+
+    def recorded(panel, tau2, gamma, scan_to=None):
+        out = gls_km_profile(panel, tau2, gamma, scan_to)
+        calls.append((struct.pack("<2d", tau2, gamma), out[:2]))
+        return out
+
+    monkeypatch.setattr("mmhet.cluster.gls_km_profile", recorded)
+    res = fit_clustered(_plate_panel(seed), POW_HALF)
+    *earlier, last = [state for state, _ in calls]
+    assert len(set(earlier)) == len(earlier)
+    assert res.iterations == len(calls)
+    km, vmax = calls[-1][1]
+    assert [float.hex(v) for v in res.params.as_array()] == [float.hex(vmax), float.hex(km)]
+    if seed == 1:
+        assert res.cycle is None and res.converged and last not in earlier
+        return
+    assert not res.converged
+    assert [i for i, state in enumerate(earlier) if state == last] == [res.cycle[0] - 1]
+    assert res.iterations == sum(res.cycle)
+
+
 def test_fit_clustered_rows_report_iterations_and_fallback():
     # These panels are unbalanced (seed 1 converges after 9 iterations,
-    # seed 34 stalls until MAX_ITER), so each goes to fit_clustered, whose
-    # result the row reports bit for bit.
+    # seed 34 cycles and stops after 92), so each goes to fit_clustered,
+    # whose result the row reports bit for bit.
     for seed in (1, 34):
         data = _plate_panel(seed)
         s, starts, y = _stack(data)
@@ -555,13 +583,14 @@ def _pool_panel(index):
 
 @pytest.mark.parametrize("index", [421, 19])
 def test_warm_started_scan_matches_the_cold_solve(monkeypatch, index):
-    # Pool panel 421 converges after 104 iterations and panel 19 cycles,
-    # both with gamma at its floor.  At the final (tau2, gamma), a scan of
-    # any prefix of the grid first gives the cold solve's bits, and a prefix
-    # that holds the bracket [ks[root - 1], ks[root]] is all it scans.
+    # Pool panel 421 converges after 104 iterations and panel 19 cycles and
+    # stops after 24, both with gamma at its floor.  At the final (tau2,
+    # gamma), a scan of any prefix of the grid first gives the cold solve's
+    # bits, and a prefix that holds the bracket [ks[root - 1], ks[root]] is
+    # all it scans.
     data = _pool_panel(index)
     res = fit_clustered(data, POW_HALF)
-    assert (res.iterations, res.cycle is None) == ((104, True) if index == 421 else (MAX_ITER, False))
+    assert (res.iterations, res.cycle) == ((104, None) if index == 421 else (24, (18, 6)))
     assert res.gamma == GAMMA_FLOOR_REL * float(np.var(data.pooled().y))
     panel = _prepare(*_stack(data), POW_HALF)
     cold = gls_km_profile(panel, res.tau2, res.gamma)
