@@ -205,7 +205,10 @@ def _brent(
             else:  # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # where den underflows to 0, C's brentq divides into an
+                # infinite or NaN step, fails the test below and bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else np.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

@@ -24,15 +24,22 @@ stage per row.  It refits the rows the lockstep stage cannot bracket
 through ``fit_single``, so it returns every row's final outcome.
 Screening (``screen_models``, and ``group_fit`` over a whole panel) runs
 the same stages on rows that each carry their own design, shape and grid:
-every (curve, candidate) pair is one row, and pairs on curves of equal
-length share a chunk of up to BLOCK_ROWS rows.  Their (rows, K, n) grid
-arrays are larger than fit_rows', so a chunk scans its grid in smaller
-blocks of at most BLOCK_CELLS cells, keeps only each block's brackets
-(``bracket_rows``) and refines the whole chunk in one lockstep call
-(``refine_rows``).  ``fit_single`` finishes through the same plug-in
-stage on one row and builds its result through the same helper, so each
-plug-in formula, each post-root failure rule and the intervals and
-information criteria are written once.
+every (curve, candidate) pair is one row, and the rows of curves of equal
+length share a chunk of about BLOCK_ROWS rows.  The grid scan decides
+only each row's bracket and count of sign changes, so it need not repeat
+the exact formula's arithmetic.  The candidates of one curve share the
+grid's y-free and h-free loadings, so ``_shared_values`` computes them
+once per curve and gets every candidate's values from batched
+contractions, in blocks of at most BLOCK_CELLS cells per (curves, K, n)
+array.  A row whose values all pass a sign certificate (CERT_TOL and
+SCAN_RANGE) takes its bracket from them, with the end values recomputed
+by the exact formula; every other row is scanned by the exact formula.
+Either way the brackets are those of the exact scan, bit for bit, and the
+whole chunk is refined in one lockstep call (``refine_rows``).
+``fit_single`` finishes through the same plug-in stage on one row and
+builds its result through the same helper, so each plug-in formula, each
+post-root failure rule and the intervals and information criteria are
+written once.
 """
 
 from __future__ import annotations
@@ -81,14 +88,42 @@ N_PARAMS = 3
 # Rows fit_rows and screening solve together: enough to amortize numpy's
 # per-call cost in the lockstep refinement and the plug-in stage, few
 # enough that the (rows, GRID_POINTS) and (rows, n) arrays do not raise
-# peak memory.
+# peak memory.  A screening chunk holds the rows of whole curves, as many
+# curves as BLOCK_ROWS rows hold, and at least one.
 BLOCK_ROWS = 128
-# Float64 cells of each (rows, GRID_POINTS, n) array of a screening grid
-# block, whose rows carry their own design: blocks of long curves get
-# fewer rows, so the grid stage's transient memory stays near 1 MiB per
-# array.  Only the brackets of a block outlive it, so this budget does not
-# bound the refinement's chunk, which BLOCK_ROWS does.
+# Float64 cells of each (curves, GRID_POINTS, n) array of a screening grid
+# block (or (rows, GRID_POINTS, n) where the exact formula scans rows):
+# blocks of long curves get fewer curves, so the grid stage's transient
+# memory stays near 1 MiB per array.  Only the brackets of a block outlive
+# it, so this budget does not bound the refinement's chunk, which
+# BLOCK_ROWS does.
 BLOCK_CELLS = 1 << 17
+
+# The screening grid scan's sign certificate (_screen_brackets).  At one
+# grid point, the exact formula (_grid_terms, _grid_values) and the shared
+# one (_shared_values) both compute F = s1 s3 - s2 s4 from the same floats:
+# each term of the four sums s1..s4 takes a few roundings, each sum adds n
+# terms in some order, then come two products and a difference.  In the
+# standard model of rounding (Higham 2002, ch. 3-4), a term with m
+# roundings summed over n terms is off by at most gamma_{m+n-1} times the
+# sum of the terms' magnitudes, gamma_q = q r / (1 - q r) with the unit
+# roundoff r = eps / 2.
+# Counting the roundings (at most 8 per term for the exact formula, 11 for
+# the shared one) bounds each computed F by gamma_q * scale off the true F,
+# q = 2n + 12 for the exact formula and 2n + 16 for the shared one, where
+# scale = |s1| s3 + |s2| s4 and |s1|, |s2| are the sums over |y|.  The
+# shared scale itself is within gamma_{2n+16} of the true one.  So where
+# |F_shared| > CERT_TOL (n + 2) scale = (16n + 32) r scale, which exceeds
+# both bounds together, gamma_{4n+28} scale, the exact value has the sign
+# of the shared one and is not zero.
+CERT_TOL = 8.0 * float(np.finfo(np.float64).eps)
+# The standard model needs every product and quotient to stay normal.  If
+# the nonzero |s| and |y|, h and the grid's ends lie in SCAN_RANGE, every
+# such intermediate of either formula lies between 2^-390 and n^2 2^640;
+# sums that cancel below that stay exact, and the two final products lose
+# at most 2^-1074 each to underflow, far below CERT_TOL times the smallest
+# nonzero scale (2^-644).
+SCAN_RANGE = (2.0 ** -64, 2.0 ** 64)
 
 
 @dataclass(frozen=True)
@@ -229,18 +264,24 @@ def distinct_levels(s: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(np.sort(s)))) + 1
 
 
-def _require_identifiable(s: np.ndarray) -> None:
+def _require_identifiable(s: np.ndarray) -> tuple[float, float]:
+    """The km search bracket (k_bracket) of a design that can identify vmax
+    and km; raises DegenerateDesign for any other design."""
     if s.size < 3 or distinct_levels(s) < 3:
         raise DegenerateDesign(
             "need at least 3 observations over 3 distinct substrate levels"
         )
+    try:
+        return k_bracket(s)
+    except ValueError as err:
+        raise DegenerateDesign(f"substrate levels give no km search bracket: {err}") from None
 
 
-def _solve_km(s, y, h) -> tuple[float, SolverDiagnostics]:
+def _solve_km(s, y, h, bracket: tuple[float, float]) -> tuple[float, SolverDiagnostics]:
     return solve_scalar(
         lambda k: _profile_value(k, s, y, h),
         lambda k: _profile_terms(k, s, y, h),
-        log_grid(*k_bracket(s)),
+        log_grid(*bracket),
     )
 
 
@@ -329,9 +370,9 @@ def fit_single(
     """
     conf = conf if conf is not None else FitConfig()
     s, y = data.s, data.y
-    _require_identifiable(s)
+    bracket = _require_identifiable(s)
     h = eval_h(spec, s)
-    km, diag = _solve_km(s, y, h)
+    km, diag = _solve_km(s, y, h, bracket)
     row, kms = y[None, :], np.array([km])
     vmax, cov, se, gamma, failure = _plugin_rows(s, h, row, kms)
     if failure[0] is not None:
@@ -385,6 +426,88 @@ def _row_values(s, y: np.ndarray, h):
     return lambda x, idx: _profile_value(x, _row_take(s, idx), y[idx], _row_take(h, idx))
 
 
+def _shared_values(ks, s, y, h):
+    """The profile equation's values and their error scales (rows, K) on the
+    grids ks (C, K) of C curves s, y (C, n), each under J shapes h (C * J,
+    n), with row c * J + j curve c under shape j.
+
+    With u = 1 / (k + s), sa = s y / h and qh = s^2 / h, the four sums of
+    F = s1 s3 - s2 s4 (_profile_products) are s1 = u.sa, s2 = u^2.sa, s3 =
+    u^3.qh and s4 = u^2.qh, summed over the curve's points.  The powers of u
+    depend on neither y nor h, so all J shapes of a curve share them, and
+    two batched matmuls give the four sums for every shape at once.  The
+    scale is |s1| s3 + |s2| s4, with |s1| and |s2| the sums over |sa|.  The
+    values agree with _grid_values' to within the rounding error CERT_TOL
+    bounds, not bit for bit, so _screen_brackets reads only their signs.
+    """
+    c, k = ks.shape
+    n = s.shape[1]
+    powers = np.empty((c, 2, k, n))
+    u, u2 = powers[:, 0], powers[:, 1]
+    np.add(ks[:, :, None], s[:, None, :], out=u)
+    np.divide(1.0, u, out=u)
+    np.multiply(u, u, out=u2)
+    h = h.reshape(c, -1, n)
+    sa = s[:, None, :] * (y[:, None, :] / h)
+    by_point = powers.reshape(c, 2 * k, n).transpose(0, 2, 1)
+    lin = np.matmul(np.concatenate([sa, np.abs(sa)], axis=1), by_point)  # over u, u^2
+    np.multiply(u, u2, out=u)
+    quad = np.matmul((s * s)[:, None, :] / h, by_point)  # over u^3, u^2
+    j = h.shape[1]
+    s1, s2, s1_abs, s2_abs = lin[:, :j, :k], lin[:, :j, k:], lin[:, j:, :k], lin[:, j:, k:]
+    s3, s4 = quad[:, :, :k], quad[:, :, k:]
+    rows = (c * j, k)
+    return (s1 * s3 - s2 * s4).reshape(rows), (s1_abs * s3 + s2_abs * s4).reshape(rows)
+
+
+def _in_scan_range(x: np.ndarray) -> np.ndarray:
+    """Rows of x (rows, m) whose nonzero magnitudes all lie in SCAN_RANGE."""
+    lo, hi = SCAN_RANGE
+    mag = np.abs(x)
+    return ((mag == 0.0) | ((mag >= lo) & (mag <= hi))).all(axis=1)
+
+
+def _screen_brackets(ks, s, y, h, shapes: int, per_block: int) -> RowBrackets:
+    """bracket_rows on the exact grid values of screening rows s, y, h (rows,
+    n) on grids ks (rows, K), where each run of ``shapes`` rows is one curve
+    under each candidate shape.
+
+    _shared_values scans the grid, per_block curves at a time.  A row takes
+    its bracket from those values only if it passes the sign certificate:
+    its inputs lie in SCAN_RANGE and every value exceeds CERT_TOL (n + 2)
+    times its scale.  Then each value has the sign of the exact one and is
+    not zero, so the exact scan finds the same first sign change, the same
+    count of sign changes and no zero; the bracket's end values fa, fb are
+    recomputed by the exact formula at its two grid points.  Every other row
+    is scanned by the exact formula, per_block rows at a time.
+    """
+    n = s.shape[1]
+    curve_ks, curve_s, curve_y = ks[::shapes], s[::shapes], y[::shapes]
+    blocks = [
+        _shared_values(curve_ks[at:at + per_block], curve_s[at:at + per_block],
+                       curve_y[at:at + per_block], h[at * shapes:(at + per_block) * shapes])
+        for at in range(0, curve_s.shape[0], per_block)
+    ]
+    values, scale = (np.concatenate(part) for part in zip(*blocks))
+    certified = (
+        _in_scan_range(s) & _in_scan_range(y) & _in_scan_range(h)
+        & _in_scan_range(ks[:, [0, -1]])
+        & np.isfinite(values).all(axis=1) & np.isfinite(scale).all(axis=1)
+        & (np.abs(values) > CERT_TOL * (n + 2) * scale).all(axis=1)
+    )
+    out = bracket_rows(values, ks)
+    ends = np.flatnonzero(certified & ~np.isnan(out.a))
+    grid = _grid_terms(np.column_stack([out.a[ends], out.b[ends]]), s[ends], h[ends])
+    out.fa[ends], out.fb[ends] = _grid_values(y[ends], grid).T
+    exact = np.flatnonzero(~certified)
+    for at in range(0, exact.size, per_block):
+        r = exact[at:at + per_block]
+        found = bracket_rows(_grid_values(y[r], _grid_terms(ks[r], s[r], h[r])), ks[r])
+        for field, part in zip(out, found):
+            field[r] = part
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RowFits:
     """fit_single's outcome for every response row of fit_rows, and how
@@ -419,12 +542,12 @@ def fit_rows(s: np.ndarray, y: np.ndarray, spec: VarianceSpec) -> RowFits:
     steps = np.full(rows, -1, dtype=np.intp)
     sign_changes = np.full(rows, -1, dtype=np.intp)
     try:
-        _require_identifiable(s)
+        bracket = _require_identifiable(s)
     except DegenerateDesign as err:
         failure[:] = type(err).__name__
         return RowFits(theta, se, gamma, failure, fallback, steps, sign_changes)
     h = eval_h(spec, s)
-    ks = log_grid(*k_bracket(s))
+    ks = log_grid(*bracket)
     grid = _grid_terms(ks, s, h)
     unbracketed = []
     for first in range(0, rows, BLOCK_ROWS):
@@ -477,49 +600,49 @@ def _screen_fits(
     failure, with NonconvergedFit's partial result kept.
 
     Every (dataset, candidate) pair is one row of fit_rows' stages, with
-    its own design, shape and grid.  Rows on curves of equal length share a
-    chunk of at most BLOCK_ROWS rows, so nothing is padded, and each stage
-    sees one length at a time.  Two budgets bound the memory: the grid scan
-    runs in blocks of at most BLOCK_CELLS cells per (rows, K, n) array and
-    keeps only each row's bracket (bracket_rows); one lockstep refinement
-    (refine_rows), the plug-in stage and the information criteria then run
-    on the whole chunk, whose (rows, n) arrays BLOCK_ROWS bounds.  Rows
-    without a bracket, and rows the plug-in stage rejects, are refit
-    through fit_single, so every failure and its message are fit_single's
-    own: a message quotes the plug-in value, whose last digits depend on
-    where the solver stopped.
+    its own design, shape and grid.  The rows of curves of equal length
+    share a chunk of BLOCK_ROWS // len(candidates) curves (at least one), so
+    nothing is padded, and each stage sees one length at a time.  Two
+    budgets bound the memory: the grid scan (_screen_brackets) runs in
+    blocks of at most BLOCK_CELLS cells per (curves, K, n) array and keeps
+    only each row's bracket; one lockstep refinement (refine_rows), the
+    plug-in stage and the information criteria then run on the whole
+    chunk, whose (rows, n) arrays BLOCK_ROWS bounds.  The scan computes
+    each curve's grid loadings once for all candidates and trusts the
+    resulting values only for their signs, under a certificate; each
+    number that reaches a result comes from the exact formula, so results
+    do not depend on which rows pass it.  Rows without a bracket, and rows
+    the plug-in stage rejects, are refit through fit_single, so every
+    failure and its message are fit_single's own: a message quotes the
+    plug-in value, whose last digits depend on where the solver stopped.
     """
     out: list[list] = [[None] * len(candidates) for _ in datasets]
     brackets: dict[int, tuple[float, float]] = {}
-    by_length: dict[int, list[tuple[int, int]]] = {}
+    by_length: dict[int, list[int]] = {}
     for i, data in enumerate(datasets):
         try:
-            _require_identifiable(data.s)
+            brackets[i] = _require_identifiable(data.s)
         except DegenerateDesign as err:
             out[i] = [(None, str(err))] * len(candidates)
             continue
-        brackets[i] = k_bracket(data.s)
-        by_length.setdefault(data.n, []).extend((i, j) for j in range(len(candidates)))
+        by_length.setdefault(data.n, []).append(i)
     z = wald_z(conf.alpha)
+    shapes = len(candidates)
     refit = []
-    for n, pairs in by_length.items():
-        grid_rows = max(1, BLOCK_CELLS // (GRID_POINTS * n))
-        for first in range(0, len(pairs), BLOCK_ROWS):
-            part = pairs[first:first + BLOCK_ROWS]
-            s = np.stack([datasets[i].s for i, _ in part])
-            y = np.stack([datasets[i].y for i, _ in part])
-            h = np.stack([eval_h(candidates[j], datasets[i].s) for i, j in part])
-            ks = log_grid(*np.array([brackets[i] for i, _ in part]).T)
-            blocks = [slice(at, at + grid_rows) for at in range(0, len(part), grid_rows)]
+    per_chunk = max(1, BLOCK_ROWS // shapes)
+    for n, curves in by_length.items():
+        per_block = max(1, BLOCK_CELLS // (GRID_POINTS * n))
+        for first in range(0, len(curves), per_chunk):
+            at_curves = curves[first:first + per_chunk]
+            part = [(i, j) for i in at_curves for j in range(shapes)]
+            s = np.repeat([datasets[i].s for i in at_curves], shapes, axis=0)
+            y = np.repeat([datasets[i].y for i in at_curves], shapes, axis=0)
+            h = np.stack([eval_h(spec, datasets[i].s) for i in at_curves for spec in candidates])
+            ks = np.repeat(log_grid(*np.array([brackets[i] for i in at_curves]).T), shapes, axis=0)
             # rows whose values overflow come back unbracketed or rejected
             with np.errstate(over="ignore", invalid="ignore"):
-                found = [
-                    bracket_rows(_grid_values(y[b], _grid_terms(ks[b], s[b], h[b])), ks[b])
-                    for b in blocks
-                ]
-                roots = refine_rows(
-                    RowBrackets(*map(np.concatenate, zip(*found))), _row_values(s, y, h)
-                )
+                found = _screen_brackets(ks, s, y, h, shapes, per_block)
+                roots = refine_rows(found, _row_values(s, y, h))
             km = roots.root
             vmax, cov, se, gamma, failure = _plugin_rows(s, h, y, km)
             kept = ~np.isnan(km) & np.equal(failure, None)

@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the package's own solver paths: dense
 linear algebra instead of rank-one updates, scipy's damped least squares
-instead of the profile root, and plain grid search instead of bracketing.
-Slow and simple on purpose.  The one exception, ``plain_alternation``,
+instead of the profile root, plain grid search instead of bracketing, and
+scipy's Chandrupatla root finder instead of Brent or Illinois.  Slow and
+simple on purpose.  The one exception, ``plain_alternation``,
 reuses the clustered fit's own steps to check the loop that drives them.
 """
 
 import struct
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import elementwise, least_squares
 
 from mmhet import MMParams, NonconvergedFit, fit_single
 from mmhet.cluster import (
@@ -70,6 +71,48 @@ def grid_profile_wsse(s, y, h, k_grid):
         if wsse < best[0]:
             best = (wsse, k, v)
     return best[1], best[2], best[0]
+
+
+def chandrupatla_roots(s, y, h):
+    """Roots of the profile equation for rows s, y, h (rows, n), by scipy's
+    elementwise find_root (Chandrupatla 1997, Advances in Engineering
+    Software 28), NaN where a row has no root on its grid.
+
+    The equation is written from the weighted normal equations: with f =
+    s / (k + s) and g = f / (k + s), vmax profiled out of sum (y - vmax f) f
+    / h = 0 and sum (y - vmax f) g / h = 0 leaves F(k) = (sum f y / h)(sum
+    f g / h) - (sum g y / h)(sum f f / h).  Each row is scanned on 256
+    geometric points from 1e-4 times its smallest positive s to 1e4 times
+    its largest, and the first exact zero or sign change upward is the root
+    or the bracket handed to find_root.
+    """
+    s, y, h = (np.asarray(a, dtype=float) for a in (s, y, h))
+
+    def profile(k, rows):
+        f = s[rows] / (k[..., None] + s[rows])
+        g = f / (k[..., None] + s[rows])
+        w = 1.0 / h[rows]
+        fy, gy = np.sum(f * y[rows] * w, axis=-1), np.sum(g * y[rows] * w, axis=-1)
+        ff, fg = np.sum(f * f * w, axis=-1), np.sum(f * g * w, axis=-1)
+        return fy * fg - gy * ff
+
+    rows = np.arange(s.shape[0])
+    lo = 1e-4 * np.array([si[si > 0].min() for si in s])
+    grid = np.geomspace(lo, 1e4 * s.max(axis=1), 256, axis=-1)
+    values = np.column_stack([profile(grid[:, j], rows) for j in range(grid.shape[1])])
+    hit = (values[:, :-1] == 0.0) | (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
+    found = hit.any(axis=1)
+    j = hit.argmax(axis=1)
+    roots = np.full(rows.size, np.nan)
+    zero = found & (values[rows, j] == 0.0)
+    roots[zero] = grid[zero, j[zero]]
+    todo = np.flatnonzero(found & ~zero)
+    if todo.size:
+        res = elementwise.find_root(
+            profile, (grid[todo, j[todo]], grid[todo, j[todo] + 1]), args=(todo,)
+        )
+        roots[todo] = np.where(res.success, res.x, np.nan)
+    return roots
 
 
 def dense_v(z, h, tau2, gamma):

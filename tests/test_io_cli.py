@@ -582,8 +582,11 @@ def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
     # Screening rows share blocks by curve length; each row's numbers come
     # from its own values only, so the report does not depend on the block
     # size: BLOCK_ROWS, the refinement chunk, or BLOCK_CELLS, the grid
-    # block, down to one row per grid block.  Labels are interleaved in the
-    # file; the 600-point curve gets a block of its own at every size.
+    # block, down to one curve per grid block.  Nor does it depend on which
+    # rows pass the shared grid scan's sign certificate: with CERT_TOL at
+    # infinity every row is scanned by the exact formula.  Labels are
+    # interleaved in the file; the 600-point curve gets a block of its own
+    # at every size.
     rng = np.random.default_rng(8)
     curves = []
     for i, n in enumerate([6] * 9 + [11] * 20 + [17] * 3 + [600]):
@@ -601,18 +604,55 @@ def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
     ]
     path = _write(tmp_path, "panel.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
     reports = []
-    one_row = single.GRID_POINTS * 6  # cells of one row of the shortest curves
-    for block, cells in [(1, None), (7, None), (128, None), (7, one_row), (128, one_row)]:
+    one_row = single.GRID_POINTS * 6  # cells of one curve of the shortest curves
+    for block, cells, tol in [
+        (1, None, None), (7, None, None), (128, None, None), (7, one_row, None),
+        (128, one_row, None), (128, one_row, np.inf), (7, None, np.inf),
+    ]:
         monkeypatch.setattr(single, "BLOCK_ROWS", block)
         if cells is not None:
             monkeypatch.setattr(single, "BLOCK_CELLS", cells)
-        out = tmp_path / f"group{block}-{cells}.json"
+        if tol is not None:
+            monkeypatch.setattr(single, "CERT_TOL", tol)
+        out = tmp_path / f"group{block}-{cells}-{tol}.json"
         argv = ["group", "--input", path, "--format", "json", "--out", str(out)]
         assert cli_dispatch(argv) == EXIT_OK
         reports.append(out.read_bytes())
     assert all(report == reports[0] for report in reports)
     doc = json.loads(reports[0])
     assert set(doc["panel"]["best_by_label"]) == {label for label, _, _ in curves[:-3]}
+
+
+def test_cli_group_isolates_labels_at_the_ends_of_float_range(tmp_path, rng):
+    # Label "b" (substrate 1e301-8e301) sends fit_single's Brent stage into
+    # an inverse quadratic step whose denominator underflows to 0, where it
+    # bisects; label "c" has no km grid, because 1e-4 times its smallest
+    # positive level underflows.  Both fail inside their own labels, and the
+    # panel's other label is reported as usual.
+    s = np.geomspace(1.0, 150.0, 12)
+    curves = [
+        ("a", s, mm_mean(s, TRUTH) + rng.normal(0.0, 1.0, s.size)),
+        ("b", np.array([1e301, 2e301, 4e301, 8e301]), np.array([1.0, 2.0, 3.0, 3.5])),
+        ("c", np.array([0.0, 1e-320, 2e-320, 4e-320]), np.array([1.0, 2.0, 3.0, 3.5])),
+    ]
+    rows = [
+        f"{float(si)!r},{float(yi)!r},{label}" for label, s, y in curves for si, yi in zip(s, y)
+    ]
+    path = _write(tmp_path, "edges.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "edges.json"
+    argv = ["group", "--input", path, "--format", "json", "--out", str(out)]
+    with np.errstate(over="ignore"):
+        assert cli_dispatch(argv) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert set(doc["panel"]["best_by_label"]) == {"a"}
+    # a label whose every candidate failed leads with a block of no model
+    errors = {block["label"]: block["error"] for block in doc["fits"] if block["model"] is None}
+    assert set(errors) == {"b", "c"}
+    assert "no km search bracket" in errors["c"]
+    # the one-curve command names the bracket failure as a data error
+    c_rows = "\n".join(row.removesuffix(",c") for row in rows[-4:])
+    one = _write(tmp_path, "c.csv", "substrate,velocity\n" + c_rows + "\n")
+    assert cli_dispatch(["fit", "--input", one, "--variance", "constant"]) == EXIT_DATA
 
 
 def test_cli_cluster(tmp_path, rng):

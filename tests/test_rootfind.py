@@ -354,7 +354,7 @@ def test_brent_matches_brentq_on_ill_conditioned_profiles(brent_vs_brentq):
     for spec in DEFAULT_CANDIDATES:
         for r in range(sc.replications):
             data = generate_single(sc, r)
-            single._solve_km(data.s, data.y, eval_h(spec, data.s))
+            single._solve_km(data.s, data.y, eval_h(spec, data.s), k_bracket(data.s))
     roots = np.array(brent_vs_brentq)
     assert roots.size > 500
     assert ((roots > 5000) & (roots < 12000)).any()
@@ -373,3 +373,17 @@ def test_brent_matches_brentq_on_gls_profile_at_gamma_floor(brent_vs_brentq):
     assert moments.tau2 > 1e3
     gls_km_profile(panel, moments.tau2, moments.gamma)
     assert len(brent_vs_brentq) == 2  # the pooled start and the GLS profile
+
+
+def test_brent_bisects_where_the_interpolation_denominator_underflows(brent_vs_brentq):
+    # At substrate levels 1e301-8e301 the profile values are so small that
+    # the inverse quadratic step's denominator dblk * dpre * (fblk - fpre)
+    # underflows to 0.  brentq's C code divides into an infinite or NaN
+    # step, fails the step test and bisects; the port must do the same, bit
+    # for bit, instead of raising ZeroDivisionError.
+    s = np.array([1e301, 2e301, 4e301, 8e301])
+    y = np.array([1.0, 2.0, 3.0, 3.5])
+    with np.errstate(over="ignore"):
+        for spec in (VarianceSpec.constant(), VarianceSpec.log_shift()):
+            single._solve_km(s, y, eval_h(spec, s), k_bracket(s))
+    assert len(brent_vs_brentq) == 2

@@ -22,9 +22,10 @@ from mmhet.exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from mmhet.rootfind import k_bracket, log_grid, solve_rows
+from mmhet.report import ReportDocument, emit_report, group_document_blocks
+from mmhet.rootfind import GRID_POINTS, k_bracket, log_grid, solve_rows
 from mmhet.single import COND_LIMIT, fit_rows, sym2_inverse
-from oracles import cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
+from oracles import chandrupatla_roots, cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
 from test_bootstrap import _S8, _Y_FLAGGED, _Y_TOOMANY
 
 POW_HALF = VarianceSpec.power(0.5)
@@ -139,8 +140,8 @@ def test_negated_y_keeps_profile_root(rng):
     # fit itself must then refuse the negative plug-in vmax.
     data = _noisy(rng, CONSTANT)
     h = eval_h(CONSTANT, data.s)
-    km_pos, _ = single._solve_km(data.s, data.y, h)
-    km_neg, _ = single._solve_km(data.s, -data.y, h)
+    km_pos, _ = single._solve_km(data.s, data.y, h, k_bracket(data.s))
+    km_neg, _ = single._solve_km(data.s, -data.y, h, k_bracket(data.s))
     assert km_neg == km_pos
     with pytest.raises(DegenerateDesign):
         fit_single(Dataset(s=data.s, y=-data.y), CONSTANT)
@@ -387,6 +388,29 @@ def test_group_fit_isolates_overflowing_dispersion(rng):
     assert set(out.best_by_label) == {"ok"}
     with pytest.raises(DegenerateDesign):
         fit_single(Dataset(ok.s, 1e155 * ok.y), POW_HALF)
+
+
+@pytest.mark.parametrize(
+    "s", [[0.0, 1e-320, 2e-320, 4e-320], [1e305, 2e305, 4e305, 8e305]],
+    ids=["lower-end-underflows", "upper-end-overflows"],
+)
+def test_design_without_a_km_bracket_is_degenerate(rng, s):
+    # 1e-4 times the smallest positive level underflows to 0, or 1e4 times
+    # the largest overflows, so no km grid exists.  The identifiability
+    # check names such a design, so group_fit isolates its label and
+    # fit_rows fails each row instead of raising for all of them.
+    s = np.array(s)
+    bad = Dataset(s, np.array([1.0, 2.0, 3.0, 3.5]))
+    with pytest.raises(DegenerateDesign, match="no km search bracket"):
+        fit_single(bad, CONSTANT)
+    ok = _noisy(rng, POW_HALF)
+    out = group_fit({"ok": ok, "bad": bad})
+    assert set(out.label_errors) == {"bad"}
+    assert "no km search bracket" in out.label_errors["bad"]
+    assert set(out.best_by_label) == {"ok"}
+    rows = fit_rows(s, np.tile(bad.y, (3, 1)), CONSTANT)
+    assert rows.failure.tolist() == ["DegenerateDesign"] * 3
+    assert np.isnan(rows.theta).all()
 
 
 def test_group_fit_rejects_empty_panel():
@@ -645,3 +669,155 @@ def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
     roots = solve_rows(values, ks, single._row_values(_S8, y, h))
     assert (got[batched] == np.column_stack([roots.steps, roots.sign_changes])[batched]).all()
     assert (rows.steps[batched] > 0).all()
+
+
+# --- the screening grid scan's sign certificate ---------------------------------
+
+
+def _group_report(panel) -> bytes:
+    fits, blocks = group_document_blocks(group_fit(panel))
+    doc = ReportDocument(kind="group", input_digest="", fits=fits, panel=blocks)
+    return emit_report(doc, "json")
+
+
+def _exact_scans(monkeypatch) -> list:
+    # the rows each full-grid call of the exact formula scans
+    rows, terms = [], single._grid_terms
+
+    def recorded(ks, s, h):
+        if ks.shape[-1] == GRID_POINTS:
+            rows.append(ks.shape[0])
+        return terms(ks, s, h)
+
+    monkeypatch.setattr(single, "_grid_terms", recorded)
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_scan_of_every_row_gives_the_same_report(monkeypatch):
+    # The shared scan decides only brackets and sign-change counts, and
+    # only for rows that pass its certificate.  With the threshold at
+    # infinity no row passes and each is scanned by the exact formula; the
+    # report does not change by one byte.
+    panel = _mixed_panel()
+    scanned = _exact_scans(monkeypatch)
+    shared = _group_report(panel)
+    # only the 1e155-scaled curve lies outside SCAN_RANGE
+    assert sum(scanned) == len(DEFAULT_CANDIDATES)
+    scanned.clear()
+    monkeypatch.setattr(single, "CERT_TOL", np.inf)
+    assert _group_report(panel) == shared
+    screened = len(panel) - 1  # all labels but the degenerate one
+    assert sum(scanned) == screened * len(DEFAULT_CANDIDATES)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_curve_with_km_on_a_grid_point_takes_the_exact_scan(monkeypatch):
+    # A noiseless curve whose km is a grid point: every shape's profile
+    # equation vanishes there up to rounding, so the shared values cannot
+    # certify its sign and each row is scanned by the exact formula.
+    s = np.geomspace(0.5, 60.0, 9)
+    ks = log_grid(*k_bracket(s))
+    data = Dataset(s, mm_mean(s, MMParams(40.0, float(ks[131]))))
+    scanned = _exact_scans(monkeypatch)
+    out = group_fit({"on-grid": data})
+    assert sum(scanned) == len(DEFAULT_CANDIDATES)
+    monkeypatch.undo()
+    # gamma is rounding noise here, and so are the information criteria and
+    # the ranks; the estimates are not.  Whether the value at km rounds to
+    # an exact zero or to a sign change differs between the batched and the
+    # one-curve formula, so the two may count sign changes differently.
+    for entry in out.per_label["on-grid"]:
+        want = fit_single(data, entry.spec)
+        assert entry.error is None and entry.result.solver.used_root
+        got, ref = entry.result.params.as_array(), want.params.as_array()
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        assert abs(entry.result.params.km / ks[131] - 1.0) <= 1e-12
+
+
+def _benchmark_curves(rng, curves, n=None):
+    # (s, y) of curves drawn as the screen_panel benchmark draws them: 6-24
+    # points (or n) over a random geometric range, noise under one of four
+    # shapes
+    out = []
+    for _ in range(curves):
+        size = int(rng.integers(6, 25)) if n is None else n
+        s_lo = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
+        ratio = float(np.exp(rng.uniform(np.log(30.0), np.log(400.0))))
+        s = np.geomspace(s_lo, s_lo * ratio, size)
+        km = s_lo * ratio ** rng.uniform(0.15, 0.6)
+        vmax = float(np.exp(rng.uniform(np.log(5.0), np.log(500.0))))
+        shape = [np.ones_like, np.log1p, np.sqrt, np.cbrt][int(rng.integers(4))]
+        sd = rng.uniform(0.03, 0.1) * 0.5 * vmax * np.sqrt(shape(s) / shape(np.array([km])))
+        out.append((s, vmax * s / (km + s) + sd * rng.standard_normal(size)))
+    return out
+
+
+def _screen_rows(rng, n, curves, y_scale=1.0):
+    # benchmark-like curves of n points, each under every default candidate,
+    # as _screen_fits stacks them: s, y, h (rows, n) and the grids ks
+    shapes = len(DEFAULT_CANDIDATES)
+    s, y = map(np.array, zip(*_benchmark_curves(rng, curves, n)))
+    s, y = np.repeat(s, shapes, axis=0), np.repeat(y_scale * y, shapes, axis=0)
+    h = np.stack([eval_h(spec, si) for si in s[::shapes] for spec in DEFAULT_CANDIDATES])
+    ks = np.repeat(log_grid(*np.array([k_bracket(si) for si in s[::shapes]]).T), shapes, axis=0)
+    return s, y, h, ks
+
+
+@pytest.mark.parametrize("n", [3, 6, 24, 600])
+def test_exact_bracket_ends_equal_the_full_grid_values(n):
+    # _screen_brackets recomputes a certified row's end values on a (rows,
+    # 2) grid; they must be the full grid's values bit for bit, at any pair
+    # of neighbouring grid points.
+    rng = np.random.default_rng(n)
+    s, y, h, ks = _screen_rows(rng, n, 6)
+    full = single._grid_values(y, single._grid_terms(ks, s, h))
+    j = rng.integers(0, GRID_POINTS - 1, size=y.shape[0])
+    rows = np.arange(y.shape[0])
+    ends = single._grid_values(y, single._grid_terms(ks[rows[:, None], j[:, None] + [0, 1]], s, h))
+    assert ends.tobytes() == full[rows[:, None], j[:, None] + [0, 1]].tobytes()
+
+
+@pytest.mark.parametrize("y_scale", [1.0, 2.0 ** -40, 2.0 ** 40])
+def test_certified_shared_values_have_the_exact_signs(y_scale):
+    # The certificate's claim: where a shared value exceeds CERT_TOL (n + 2)
+    # times its scale, the exact formula's value has its sign and is not
+    # zero.  Checked on benchmark-like rows with y at three scales; the
+    # shared values also stay within their error bound of the exact ones.
+    rng = np.random.default_rng(17)
+    shapes = len(DEFAULT_CANDIDATES)
+    for n in (3, 9, 24):
+        s, y, h, ks = _screen_rows(rng, n, 40, y_scale)
+        values, scale = single._shared_values(ks[::shapes], s[::shapes], y[::shapes], h)
+        exact = single._grid_values(y, single._grid_terms(ks, s, h))
+        assert np.isfinite(exact).all() and np.isfinite(values).all()
+        sure = np.abs(values) > single.CERT_TOL * (n + 2) * scale
+        assert sure.mean() > 0.99
+        assert (np.sign(exact[sure]) == np.sign(values[sure])).all()
+        assert (exact[sure] != 0.0).all()
+        assert np.max(np.abs(values - exact) / scale) <= 2.0 * (n + 2) * np.finfo(float).eps
+
+
+def test_screening_roots_match_chandrupatla():
+    # An oracle that shares no code with the package: its own profile
+    # equation, grid and root finder (scipy's Chandrupatla).  Every
+    # screening root, batched or refit through fit_single, matches it.
+    rng = np.random.default_rng(26)
+    panel = {f"g{i}": Dataset(s, y) for i, (s, y) in enumerate(_benchmark_curves(rng, 200))}
+    out = group_fit(panel)
+    got, want = [], []
+    for n in {data.n for data in panel.values()}:
+        labels = [label for label, data in panel.items() if data.n == n]
+        for spec in DEFAULT_CANDIDATES:
+            s = np.stack([panel[label].s for label in labels])
+            y = np.stack([panel[label].y for label in labels])
+            want.extend(chandrupatla_roots(s, y, np.stack([eval_h(spec, si) for si in s])))
+            for label in labels:
+                (entry,) = [e for e in out.per_label[label] if e.spec == spec]
+                ok = entry.error is None and entry.result.solver.used_root
+                got.append(entry.result.params.km if ok else np.nan)
+    got, want = np.array(got), np.array(want)
+    assert np.isfinite(got).sum() >= 0.95 * got.size
+    assert (np.isnan(got) == np.isnan(want)).all()
+    fit = np.isfinite(got)
+    assert np.max(np.abs(got[fit] / want[fit] - 1.0)) <= 1e-13
