@@ -4,7 +4,9 @@ The packaged default seed must put the R=1000 single-curve run inside the
 reference tolerance bands (tests/reference_values.py) and the clustered
 run inside its ordering/coverage bands.  Any seed is a valid Monte Carlo
 experiment; this tool reports which candidates pass and how much margin
-the tightest check has, which is how the shipped default was picked.
+the tightest check has, which is how the shipped default was picked.  The
+checks and their verdicts are the acceptance gate's own
+(tests/acceptance_checks.py).
 
     python3 scripts/calibrate_benchmarks.py --suite single --seeds 8 9 11 24
     python3 scripts/calibrate_benchmarks.py --suite clustered --seeds 11
@@ -17,16 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from reference_values import (  # noqa: E402
-    REF_BIAS_RMSE,
-    REF_COVERAGE,
-    SECR_BAND,
-    TOL_BIAS,
-    TOL_CP,
-    TOL_MIL_REL,
-    TOL_RMSE,
-    TOL_VAR_MSE_REL,
-)
+from acceptance_checks import clustered_checks, single_checks  # noqa: E402
 
 from mmhet.simbench import (  # noqa: E402
     ClusterBenchmarkConfig,
@@ -37,64 +30,15 @@ from mmhet.simbench import (  # noqa: E402
 
 
 def check_single(seed: int, replications: int):
-    """Margins for every reference-table check; negative margin = failure."""
+    """The checks of acceptance criteria 1-3 on the single-curve suite."""
     cfg = SingleBenchmarkConfig.default(replications=replications, master_seed=seed)
-    report = run_single_benchmark(cfg)
-    nls_rmse = {
-        r.scenario: (r.rmse_vmax, r.rmse_km, r.var_mse)
-        for r in report.rows
-        if r.method == "constant"
-    }
-    margins = []
-    for row in report.rows:
-        key = (row.scenario, row.method)
-        _, ref_rv, _, ref_rk = REF_BIAS_RMSE[key]
-        cp_v, mil_v, cp_k, mil_k, vmse = REF_COVERAGE[key]
-        margins += [
-            (TOL_BIAS - abs(row.bias_vmax), "bias_v", key),
-            (TOL_BIAS - abs(row.bias_km), "bias_k", key),
-            (TOL_RMSE - abs(row.rmse_vmax - ref_rv), "rmse_v", key),
-            (TOL_RMSE - abs(row.rmse_km - ref_rk), "rmse_k", key),
-            (TOL_CP - abs(row.cp_vmax - cp_v), "cp_v", key),
-            (TOL_CP - abs(row.cp_km - cp_k), "cp_k", key),
-            (TOL_MIL_REL - abs(row.mil_vmax - mil_v) / mil_v, "mil_v", key),
-            (TOL_MIL_REL - abs(row.mil_km - mil_k) / mil_k, "mil_k", key),
-            (TOL_VAR_MSE_REL - abs(row.var_mse - vmse) / vmse, "vmse", key),
-            (row.secr_vmax - SECR_BAND[0], "secr_v_lo", key),
-            (SECR_BAND[1] - row.secr_vmax, "secr_v_hi", key),
-            (row.secr_km - SECR_BAND[0], "secr_k_lo", key),
-            (SECR_BAND[1] - row.secr_km, "secr_k_hi", key),
-        ]
-        if row.method != "constant":
-            margins += [
-                (nls_rmse[row.scenario][0] - row.rmse_vmax, "order_rmse_v", key),
-                (nls_rmse[row.scenario][1] - row.rmse_km, "order_rmse_k", key),
-                (nls_rmse[row.scenario][2] - row.var_mse, "order_vmse", key),
-            ]
-    return margins
+    return single_checks(run_single_benchmark(cfg))
 
 
 def check_clustered(seed: int, replications: int):
-    """Margins for the pooled-versus-clustered ordering and coverage bands."""
+    """The checks of acceptance criterion 4 on the clustered suite."""
     cfg = ClusterBenchmarkConfig.default(replications=replications, master_seed=seed)
-    report = run_clustered_benchmark(cfg)
-    rows = {(r.scenario, r.method): r for r in report.rows}
-    margins = []
-    for m in ("m3", "m6"):
-        nls = rows[(m, "pooled-constant")]
-        pooled = rows[(m, "pooled-pow:0.5")]
-        clus = rows[(m, "clustered-pow:0.5")]
-        for r in (nls, pooled):
-            margins.append((0.45 - r.cp_vmax, f"{r.method} cp_v<0.45", m))
-        margins += [
-            (clus.cp_vmax - 0.70, "clus cp_v lower", m),
-            (0.90 - clus.cp_vmax, "clus cp_v upper", m),
-            (clus.cp_vmax - max(nls.cp_vmax, pooled.cp_vmax) - 0.30, "cp_v gap", m),
-            (nls.rmse_km - clus.rmse_km, "rmse_k order", m),
-            (nls.var_rmse - clus.var_rmse, "var_rmse vs nls", m),
-            (pooled.var_rmse - clus.var_rmse, "var_rmse vs pooled", m),
-        ]
-    return margins
+    return clustered_checks(run_clustered_benchmark(cfg))
 
 
 def main() -> None:
@@ -108,14 +52,15 @@ def main() -> None:
     checker = check_single if ns.suite == "single" else check_clustered
     for seed in ns.seeds:
         t0 = time.perf_counter()
-        margins = checker(seed, ns.replications)
+        checks = checker(seed, ns.replications)
         elapsed = time.perf_counter() - t0
-        margins.sort()
-        fails = [m for m in margins if m[0] < 0]
-        status = "PASS" if not fails else f"FAIL ({len(fails)} checks)"
+        checks.sort(key=lambda c: (c.passed, c.margin))
+        fails = sum(not c.passed for c in checks)
+        status = "PASS" if not fails else f"FAIL ({fails} checks)"
         print(f"seed {seed}: {status}  [{elapsed:.0f}s]")
-        for margin, name, key in margins[: ns.show]:
-            print(f"    margin {margin:+.4f}  {name}  {key}")
+        for c in checks[: ns.show]:
+            verdict = "pass" if c.passed else "FAIL"
+            print(f"    {verdict} margin {c.margin:+.4f}  {c.criterion}: {c.name}  {c.key}")
 
 
 if __name__ == "__main__":

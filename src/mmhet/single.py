@@ -33,9 +33,9 @@ once per curve and gets every candidate's values from batched
 contractions, in blocks of at most BLOCK_CELLS cells per (curves, K, n)
 array.  A row whose values all pass a sign certificate (CERT_TOL and
 SCAN_RANGE) takes its bracket from them, with the end values recomputed
-by the exact formula; every other row is scanned by the exact formula.
-Either way the brackets are those of the exact scan, bit for bit, and the
-whole chunk is refined in one lockstep call (``refine_rows``).
+by the exact formula, and the chunk is refined in one lockstep call
+(``refine_rows``).  Rows that fail the certificate, have no bracket or
+fail the plug-in stage are refit through ``fit_single``.
 ``fit_single`` finishes through the same plug-in stage on one row and
 builds its result through the same helper, so each plug-in formula, each
 post-root failure rule and the intervals and information criteria are
@@ -92,34 +92,34 @@ N_PARAMS = 3
 # curves as BLOCK_ROWS rows hold, and at least one.
 BLOCK_ROWS = 128
 # Float64 cells of each (curves, GRID_POINTS, n) array of a screening grid
-# block (or (rows, GRID_POINTS, n) where the exact formula scans rows):
-# blocks of long curves get fewer curves, so the grid stage's transient
-# memory stays near 1 MiB per array.  Only the brackets of a block outlive
-# it, so this budget does not bound the refinement's chunk, which
-# BLOCK_ROWS does.
+# block: blocks of long curves get fewer curves, so the grid stage's
+# transient memory stays near 1 MiB per array.  Only the brackets of a
+# block outlive it, so this budget does not bound the refinement's chunk,
+# which BLOCK_ROWS does.  A row that fails the sign certificate is refit
+# through fit_single, which scans one curve's (GRID_POINTS, n) arrays.
 BLOCK_CELLS = 1 << 17
 
 # The screening grid scan's sign certificate (_screen_brackets).  At one
-# grid point, the exact formula (_grid_terms, _grid_values) and the shared
-# one (_shared_values) both compute F = s1 s3 - s2 s4 from the same floats:
-# each term of the four sums s1..s4 takes a few roundings, each sum adds n
-# terms in some order, then come two products and a difference.  In the
-# standard model of rounding (Higham 2002, ch. 3-4), a term with m
-# roundings summed over n terms is off by at most gamma_{m+n-1} times the
-# sum of the terms' magnitudes, gamma_q = q r / (1 - q r) with the unit
-# roundoff r = eps / 2.
-# Counting the roundings (at most 8 per term for the exact formula, 11 for
-# the shared one) bounds each computed F by gamma_q * scale off the true F,
-# q = 2n + 12 for the exact formula and 2n + 16 for the shared one, where
-# scale = |s1| s3 + |s2| s4 and |s1|, |s2| are the sums over |y|.  The
-# shared scale itself is within gamma_{2n+16} of the true one.  So where
-# |F_shared| > CERT_TOL (n + 2) scale = (16n + 32) r scale, which exceeds
-# both bounds together, gamma_{4n+28} scale, the exact value has the sign
-# of the shared one and is not zero.
+# grid point, the exact formula (_grid_terms, _grid_values), fit_single's
+# scan (_profile_products) and the shared one (_shared_values) all compute
+# F = s1 s3 - s2 s4 from the same floats: each term of the four sums
+# s1..s4 takes a few roundings, each sum adds n terms in some order, then
+# come two products and a difference.  In the standard model of rounding
+# (Higham 2002, ch. 3-4), a term with m roundings summed over n terms in
+# any order is off by at most gamma_{m+n-1} times the sum of the terms'
+# magnitudes, gamma_q = q r / (1 - q r) with the unit roundoff r = eps / 2.
+# The first two round each term alike (at most 8 times) and differ only
+# in summation order; the shared one rounds each at most 11 times.  So
+# each computed F is within gamma_q * scale of the true F, q = 2n + 12 for
+# the first two and 2n + 16 for the shared one, where scale = |s1| s3 +
+# |s2| s4 and |s1|, |s2| are the sums over |y|.  The shared scale itself
+# is within gamma_{2n+16} of the true one.  So where |F_shared| > CERT_TOL
+# (n + 2) scale = (16n + 32) r scale, which exceeds both bounds together,
+# gamma_{4n+28} scale, the other two values have its sign and are not zero.
 CERT_TOL = 8.0 * float(np.finfo(np.float64).eps)
 # The standard model needs every product and quotient to stay normal.  If
 # the nonzero |s| and |y|, h and the grid's ends lie in SCAN_RANGE, every
-# such intermediate of either formula lies between 2^-390 and n^2 2^640;
+# such intermediate of the three formulas lies between 2^-390 and n^2 2^640;
 # sums that cancel below that stay exact, and the two final products lose
 # at most 2^-1074 each to underflow, far below CERT_TOL times the smallest
 # nonzero scale (2^-644).
@@ -184,8 +184,7 @@ def _vmax_rows(km: np.ndarray, s, y: np.ndarray, h) -> tuple[np.ndarray, np.ndar
     w = s / (d * h)
     num = (w * y).sum(axis=1)
     den = (w * s / d).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den, den
+    return num / den, den
 
 
 def _gamma_rows(s, h, y: np.ndarray, vmax: np.ndarray, km: np.ndarray) -> np.ndarray:
@@ -235,8 +234,9 @@ def _plugin_rows(s, h, y: np.ndarray, km: np.ndarray):
     (rows, n) on a shared design s, h (n,) or per-row ones (rows, n): vmax,
     the covariance (rows, 2, 2), the standard errors (rows, 2), gamma and
     each row's failure (an exception, else None)."""
-    vmax, den = _vmax_rows(km, s, y, h)
-    with np.errstate(over="ignore", invalid="ignore"):  # _plugin_failure names such rows
+    # _plugin_failure names the rows that overflow or divide by zero
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vmax, den = _vmax_rows(km, s, y, h)
         gamma = _gamma_rows(s, h, y, vmax, km)
         cov, ok = _plugin_cov_rows(s, h, vmax, km, gamma)
         passed = (
@@ -278,11 +278,12 @@ def _require_identifiable(s: np.ndarray) -> tuple[float, float]:
 
 
 def _solve_km(s, y, h, bracket: tuple[float, float]) -> tuple[float, SolverDiagnostics]:
-    return solve_scalar(
-        lambda k: _profile_value(k, s, y, h),
-        lambda k: _profile_terms(k, s, y, h),
-        log_grid(*bracket),
-    )
+    with np.errstate(over="ignore"):  # near the float range's top, (k + s) h overflows to w = 0
+        return solve_scalar(
+            lambda k: _profile_value(k, s, y, h),
+            lambda k: _profile_terms(k, s, y, h),
+            log_grid(*bracket),
+        )
 
 
 def sym2_inverse(a, b, d):
@@ -468,18 +469,18 @@ def _in_scan_range(x: np.ndarray) -> np.ndarray:
 
 
 def _screen_brackets(ks, s, y, h, shapes: int, per_block: int) -> RowBrackets:
-    """bracket_rows on the exact grid values of screening rows s, y, h (rows,
-    n) on grids ks (rows, K), where each run of ``shapes`` rows is one curve
+    """bracket_rows on the grid values of screening rows s, y, h (rows, n)
+    on grids ks (rows, K), where each run of ``shapes`` rows is one curve
     under each candidate shape.
 
     _shared_values scans the grid, per_block curves at a time.  A row takes
     its bracket from those values only if it passes the sign certificate:
     its inputs lie in SCAN_RANGE and every value exceeds CERT_TOL (n + 2)
-    times its scale.  Then each value has the sign of the exact one and is
-    not zero, so the exact scan finds the same first sign change, the same
-    count of sign changes and no zero; the bracket's end values fa, fb are
-    recomputed by the exact formula at its two grid points.  Every other row
-    is scanned by the exact formula, per_block rows at a time.
+    times its scale.  Then fit_single's scan has the same signs and no
+    zero, so the same first sign change and count of sign changes; the
+    bracket's end values fa, fb are recomputed by the exact formula at its
+    two grid points.  Every other row gets no bracket, so _screen_fits
+    refits it through fit_single.
     """
     n = s.shape[1]
     curve_ks, curve_s, curve_y = ks[::shapes], s[::shapes], y[::shapes]
@@ -495,16 +496,11 @@ def _screen_brackets(ks, s, y, h, shapes: int, per_block: int) -> RowBrackets:
         & np.isfinite(values).all(axis=1) & np.isfinite(scale).all(axis=1)
         & (np.abs(values) > CERT_TOL * (n + 2) * scale).all(axis=1)
     )
+    values[~certified] = np.nan  # bracket_rows brackets no row with a NaN
     out = bracket_rows(values, ks)
-    ends = np.flatnonzero(certified & ~np.isnan(out.a))
+    ends = np.flatnonzero(~np.isnan(out.a))
     grid = _grid_terms(np.column_stack([out.a[ends], out.b[ends]]), s[ends], h[ends])
     out.fa[ends], out.fb[ends] = _grid_values(y[ends], grid).T
-    exact = np.flatnonzero(~certified)
-    for at in range(0, exact.size, per_block):
-        r = exact[at:at + per_block]
-        found = bracket_rows(_grid_values(y[r], _grid_terms(ks[r], s[r], h[r])), ks[r])
-        for field, part in zip(out, found):
-            field[r] = part
     return out
 
 
@@ -610,11 +606,11 @@ def _screen_fits(
     chunk, whose (rows, n) arrays BLOCK_ROWS bounds.  The scan computes
     each curve's grid loadings once for all candidates and trusts the
     resulting values only for their signs, under a certificate; each
-    number that reaches a result comes from the exact formula, so results
-    do not depend on which rows pass it.  Rows without a bracket, and rows
-    the plug-in stage rejects, are refit through fit_single, so every
-    failure and its message are fit_single's own: a message quotes the
-    plug-in value, whose last digits depend on where the solver stopped.
+    number that reaches a result comes from the exact formula.  Rows that
+    fail the certificate, have no bracket or fail the plug-in stage are
+    refit through fit_single, so their results, failures and messages are
+    fit_single's own (a message quotes the plug-in value, whose last digits
+    depend on where the solver stopped).
     """
     out: list[list] = [[None] * len(candidates) for _ in datasets]
     brackets: dict[int, tuple[float, float]] = {}

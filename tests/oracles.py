@@ -73,15 +73,31 @@ def grid_profile_wsse(s, y, h, k_grid):
     return best[1], best[2], best[0]
 
 
+def profile_equation(k, s, y, h):
+    """The profile equation written from the weighted normal equations, and
+    its rounding scale, at k (rows,) for rows s, y, h (rows, n).
+
+    With f = s / (k + s) and g = f / (k + s), vmax profiled out of sum (y -
+    vmax f) f / h = 0 and sum (y - vmax f) g / h = 0 leaves F(k) = (sum f y
+    / h)(sum f g / h) - (sum g y / h)(sum f f / h).  The scale is the same
+    expression with |y| and a sum for the difference, the size of F's
+    rounding error in units of eps.
+    """
+    f = s / (k[..., None] + s)
+    g = f / (k[..., None] + s)
+    w = 1.0 / h
+    fy, gy = np.sum(f * y * w, axis=-1), np.sum(g * y * w, axis=-1)
+    ff, fg = np.sum(f * f * w, axis=-1), np.sum(f * g * w, axis=-1)
+    fa, ga = np.sum(f * np.abs(y) * w, axis=-1), np.sum(g * np.abs(y) * w, axis=-1)
+    return fy * fg - gy * ff, fa * fg + ga * ff
+
+
 def chandrupatla_roots(s, y, h):
     """Roots of the profile equation for rows s, y, h (rows, n), by scipy's
     elementwise find_root (Chandrupatla 1997, Advances in Engineering
     Software 28), NaN where a row has no root on its grid.
 
-    The equation is written from the weighted normal equations: with f =
-    s / (k + s) and g = f / (k + s), vmax profiled out of sum (y - vmax f) f
-    / h = 0 and sum (y - vmax f) g / h = 0 leaves F(k) = (sum f y / h)(sum
-    f g / h) - (sum g y / h)(sum f f / h).  Each row is scanned on 256
+    The equation is profile_equation's.  Each row is scanned on 256
     geometric points from 1e-4 times its smallest positive s to 1e4 times
     its largest, and the first exact zero or sign change upward is the root
     or the bracket handed to find_root.
@@ -89,12 +105,7 @@ def chandrupatla_roots(s, y, h):
     s, y, h = (np.asarray(a, dtype=float) for a in (s, y, h))
 
     def profile(k, rows):
-        f = s[rows] / (k[..., None] + s[rows])
-        g = f / (k[..., None] + s[rows])
-        w = 1.0 / h[rows]
-        fy, gy = np.sum(f * y[rows] * w, axis=-1), np.sum(g * y[rows] * w, axis=-1)
-        ff, fg = np.sum(f * f * w, axis=-1), np.sum(f * g * w, axis=-1)
-        return fy * fg - gy * ff
+        return profile_equation(k, s[rows], y[rows], h[rows])[0]
 
     rows = np.arange(s.shape[0])
     lo = 1e-4 * np.array([si[si > 0].min() for si in s])

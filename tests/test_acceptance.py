@@ -37,17 +37,8 @@ from mmhet.simbench import (
 from mmhet import single
 from mmhet.wildboot import draw_multipliers
 
+from acceptance_checks import clustered_checks, single_checks
 from oracles import dense_solve, grid_profile_wsse, lm_weighted_fit
-from reference_values import (
-    REF_BIAS_RMSE,
-    REF_COVERAGE,
-    SECR_BAND,
-    TOL_BIAS,
-    TOL_CP,
-    TOL_MIL_REL,
-    TOL_RMSE,
-    TOL_VAR_MSE_REL,
-)
 
 TRUTH = MMParams(vmax=100.0, km=20.0)
 
@@ -80,12 +71,8 @@ def clustered_run():
     return report, time.perf_counter() - t0
 
 
-def _nls_rmse(report):
-    return {
-        r.scenario: (r.rmse_vmax, r.rmse_km)
-        for r in report.rows
-        if r.method == "constant"
-    }
+def _failed(checks, criterion):
+    return [c for c in checks if c.criterion == criterion and not c.passed]
 
 
 def test_acceptance_1_single_bias_rmse(single_run):
@@ -93,58 +80,18 @@ def test_acceptance_1_single_bias_rmse(single_run):
     failures = []
     if elapsed > 600.0:
         failures.append(f"runtime {elapsed:.0f}s exceeds 600s")
-    nls = _nls_rmse(report)
-    for row in report.rows:
-        _, ref_rv, _, ref_rk = REF_BIAS_RMSE[(row.scenario, row.method)]
-        checks = [
-            ("bias_vmax", abs(row.bias_vmax), TOL_BIAS),
-            ("bias_km", abs(row.bias_km), TOL_BIAS),
-            ("rmse_vmax", abs(row.rmse_vmax - ref_rv), TOL_RMSE),
-            ("rmse_km", abs(row.rmse_km - ref_rk), TOL_RMSE),
-        ]
-        for name, err, tol in checks:
-            if err > tol:
-                failures.append((row.scenario, row.method, name, round(err, 4)))
-        if row.method != "constant":
-            if row.rmse_vmax >= nls[row.scenario][0]:
-                failures.append((row.scenario, row.method, "rmse_vmax >= nls"))
-            if row.rmse_km >= nls[row.scenario][1]:
-                failures.append((row.scenario, row.method, "rmse_km >= nls"))
+    failures += _failed(single_checks(report), 1)
     _verdict(1, "single benchmark bias/rmse", failures)
 
 
 def test_acceptance_2_single_coverage(single_run):
     report, _ = single_run
-    failures = []
-    nls_vmse = {
-        r.scenario: r.var_mse for r in report.rows if r.method == "constant"
-    }
-    for row in report.rows:
-        cp_v, mil_v, cp_k, mil_k, vmse = REF_COVERAGE[(row.scenario, row.method)]
-        checks = [
-            ("cp_vmax", abs(row.cp_vmax - cp_v), TOL_CP),
-            ("cp_km", abs(row.cp_km - cp_k), TOL_CP),
-            ("mil_vmax", abs(row.mil_vmax - mil_v) / mil_v, TOL_MIL_REL),
-            ("mil_km", abs(row.mil_km - mil_k) / mil_k, TOL_MIL_REL),
-            ("var_mse", abs(row.var_mse - vmse) / vmse, TOL_VAR_MSE_REL),
-        ]
-        for name, err, tol in checks:
-            if err > tol:
-                failures.append((row.scenario, row.method, name, round(err, 4)))
-        if row.method != "constant" and row.var_mse >= nls_vmse[row.scenario]:
-            failures.append((row.scenario, row.method, "var_mse >= nls"))
-    _verdict(2, "single benchmark coverage/widths", failures)
+    _verdict(2, "single benchmark coverage/widths", _failed(single_checks(report), 2))
 
 
 def test_acceptance_3_secr_band(single_run):
     report, _ = single_run
-    failures = []
-    lo, hi = SECR_BAND
-    for row in report.rows:
-        for name, val in (("secr_vmax", row.secr_vmax), ("secr_km", row.secr_km)):
-            if not (lo <= val <= hi):
-                failures.append((row.scenario, row.method, name, round(val, 4)))
-    _verdict(3, "se calibration ratios", failures)
+    _verdict(3, "se calibration ratios", _failed(single_checks(report), 3))
 
 
 def test_acceptance_4_clustered_benchmark(clustered_run):
@@ -152,31 +99,7 @@ def test_acceptance_4_clustered_benchmark(clustered_run):
     failures = []
     if elapsed > 900.0:
         failures.append(f"runtime {elapsed:.0f}s exceeds 900s")
-    rows = {(r.scenario, r.method): r for r in report.rows}
-    for m in ("m3", "m6"):
-        nls = rows[(m, "pooled-constant")]
-        pooled = rows[(m, "pooled-pow:0.5")]
-        clus = rows[(m, "clustered-pow:0.5")]
-        for r in (nls, pooled):
-            if not r.cp_vmax < 0.45:
-                failures.append((m, r.method, "cp_vmax", round(r.cp_vmax, 3)))
-        if not (0.70 <= clus.cp_vmax <= 0.90):
-            failures.append((m, "clustered cp_vmax band", round(clus.cp_vmax, 3)))
-        if clus.cp_vmax < max(nls.cp_vmax, pooled.cp_vmax) + 0.30:
-            failures.append(
-                (m, "clustered cp_vmax gap", round(clus.cp_vmax, 3),
-                 round(nls.cp_vmax, 3), round(pooled.cp_vmax, 3))
-            )
-        if not clus.rmse_km < nls.rmse_km:
-            failures.append(
-                (m, "rmse_km order", round(clus.rmse_km, 3), round(nls.rmse_km, 3))
-            )
-        for r in (nls, pooled):
-            if not clus.var_rmse < r.var_rmse:
-                failures.append(
-                    (m, r.method, "var_rmse order",
-                     round(clus.var_rmse, 1), round(r.var_rmse, 1))
-                )
+    failures += _failed(clustered_checks(report), 4)
     _verdict(4, "clustered benchmark", failures)
 
 

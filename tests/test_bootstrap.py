@@ -13,7 +13,7 @@ from mmhet import (
     wild_bootstrap_ci,
 )
 from mmhet import single, wildboot
-from mmhet.core import BOOT_STREAM, replicate_stream
+from mmhet.core import BOOT_STREAM, eval_h, replicate_stream
 from mmhet.exceptions import MMHetError, TooManyFailures
 from mmhet.wildboot import (
     MAMMEN_HIGH,
@@ -22,6 +22,7 @@ from mmhet.wildboot import (
     draw_multipliers,
     replicate_pivots,
 )
+from oracles import chandrupatla_roots, profile_equation
 
 POW_HALF = VarianceSpec.power(0.5)
 CONSTANT = VarianceSpec.constant()
@@ -188,11 +189,45 @@ def _bench_curve(n, seed):
     return Dataset(s=s, y=y), POW_HALF
 
 
+def recorded_fit_rows(monkeypatch, module) -> list:
+    """Wrap module.fit_rows; the returned list records each call's (s, y,
+    spec, RowFits)."""
+    calls = []
+    fit = module.fit_rows
+
+    def recorded(s, y, spec):
+        rows = fit(s, y, spec)
+        calls.append((s, y, spec, rows))
+        return rows
+
+    monkeypatch.setattr(module, "fit_rows", recorded)
+    return calls
+
+
+def assert_km_matches_chandrupatla(s, y, spec, rows):
+    """Every row fit_rows fit has the root of an oracle that shares no code
+    with the package, to 1e-13 relative.  Where the profile equation is
+    flat to rounding about its root, no solver can place the root that
+    closely, and the two solvers stop at different points of the flat
+    stretch: there the oracle's equation at km must be rounding noise,
+    |F| <= 8 (n + 2) eps times its scale."""
+    fit = np.equal(rows.failure, None)
+    assert fit.any()
+    y, km = y[fit], rows.theta[fit, 1]
+    s, h = (np.broadcast_to(a, y.shape) for a in (s, eval_h(spec, s)))
+    want = chandrupatla_roots(s, y, h)
+    assert np.isfinite(want).all()
+    close = np.abs(km / want - 1.0) <= 1e-13
+    value, scale = profile_equation(km, s, y, h)
+    flat = np.abs(value) <= 8.0 * (y.shape[1] + 2) * np.finfo(float).eps * scale
+    assert (close | flat).all()
+
+
 @pytest.mark.parametrize("multiplier", ["rademacher", "mammen"])
 @pytest.mark.parametrize(
     "case", ["n8", "n16", "n50", "n120", "flagged", "toomany"]
 )
-def test_batched_pivots_match_fit_single_loop(case, multiplier):
+def test_batched_pivots_match_fit_single_loop(monkeypatch, case, multiplier):
     # The low-signal curves lose the profile bracket on many replicates,
     # which sends those rows down the per-row fit_single fallback.
     if case == "flagged":
@@ -203,7 +238,11 @@ def test_batched_pivots_match_fit_single_loop(case, multiplier):
         data, spec = _bench_curve(int(case[1:]), 5)
     fit = fit_single(data, spec)
     conf = BootstrapConfig(replicates=199, seed=2, multiplier=multiplier)
+    calls = recorded_fit_rows(monkeypatch, wildboot)
     got, got_reasons = replicate_pivots(data, fit, conf)
+    monkeypatch.undo()
+    (refits,) = calls
+    assert_km_matches_chandrupatla(*refits)
     want, want_reasons = _loop_pivots(data, fit, conf)
     assert got_reasons == want_reasons
     ok = np.array([r is None for r in want_reasons])

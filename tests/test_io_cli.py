@@ -29,6 +29,7 @@ from mmhet import (
     VarianceSpec,
 )
 from mmhet.cli import EXIT_DATA, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, cli_dispatch
+from mmhet.core import DEFAULT_CANDIDATES
 from mmhet.dataio import IngestOptions, InputTable
 from mmhet.exceptions import EmptyAfterFiltering, IngestError, MissingColumn, ParseError
 from mmhet.report import FIT_CSV_COLUMNS, METRIC_CSV_COLUMNS, fit_block, screen_blocks
@@ -582,11 +583,8 @@ def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
     # Screening rows share blocks by curve length; each row's numbers come
     # from its own values only, so the report does not depend on the block
     # size: BLOCK_ROWS, the refinement chunk, or BLOCK_CELLS, the grid
-    # block, down to one curve per grid block.  Nor does it depend on which
-    # rows pass the shared grid scan's sign certificate: with CERT_TOL at
-    # infinity every row is scanned by the exact formula.  Labels are
-    # interleaved in the file; the 600-point curve gets a block of its own
-    # at every size.
+    # block, down to one curve per grid block.  Labels are interleaved in
+    # the file; the 600-point curve gets a block of its own at every size.
     rng = np.random.default_rng(8)
     curves = []
     for i, n in enumerate([6] * 9 + [11] * 20 + [17] * 3 + [600]):
@@ -605,16 +603,11 @@ def test_cli_group_report_identical_across_block_sizes(tmp_path, monkeypatch):
     path = _write(tmp_path, "panel.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
     reports = []
     one_row = single.GRID_POINTS * 6  # cells of one curve of the shortest curves
-    for block, cells, tol in [
-        (1, None, None), (7, None, None), (128, None, None), (7, one_row, None),
-        (128, one_row, None), (128, one_row, np.inf), (7, None, np.inf),
-    ]:
+    for block, cells in [(1, None), (7, None), (128, None), (7, one_row), (128, one_row)]:
         monkeypatch.setattr(single, "BLOCK_ROWS", block)
         if cells is not None:
             monkeypatch.setattr(single, "BLOCK_CELLS", cells)
-        if tol is not None:
-            monkeypatch.setattr(single, "CERT_TOL", tol)
-        out = tmp_path / f"group{block}-{cells}-{tol}.json"
+        out = tmp_path / f"group{block}-{cells}.json"
         argv = ["group", "--input", path, "--format", "json", "--out", str(out)]
         assert cli_dispatch(argv) == EXIT_OK
         reports.append(out.read_bytes())
@@ -641,8 +634,7 @@ def test_cli_group_isolates_labels_at_the_ends_of_float_range(tmp_path, rng):
     path = _write(tmp_path, "edges.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
     out = tmp_path / "edges.json"
     argv = ["group", "--input", path, "--format", "json", "--out", str(out)]
-    with np.errstate(over="ignore"):
-        assert cli_dispatch(argv) == EXIT_OK
+    assert cli_dispatch(argv) == EXIT_OK
     doc = json.loads(out.read_text())
     assert set(doc["panel"]["best_by_label"]) == {"a"}
     # a label whose every candidate failed leads with a block of no model
@@ -653,6 +645,41 @@ def test_cli_group_isolates_labels_at_the_ends_of_float_range(tmp_path, rng):
     c_rows = "\n".join(row.removesuffix(",c") for row in rows[-4:])
     one = _write(tmp_path, "c.csv", "substrate,velocity\n" + c_rows + "\n")
     assert cli_dispatch(["fit", "--input", one, "--variance", "constant"]) == EXIT_DATA
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_at_the_top_of_float_range_warns_nothing(tmp_path, rng, capsys):
+    # With substrate 1e301-8e301, (k + s) h overflows in fit_single's grid
+    # scan and in the plug-in stage, where the weights round to 0; both
+    # commands report as they do with every floating-point warning off,
+    # and raise none.
+    s = np.geomspace(1.0, 150.0, 12)
+    curves = [
+        ("a", s, mm_mean(s, TRUTH) + rng.normal(0.0, 1.0, s.size)),
+        ("b", np.array([1e301, 2e301, 4e301, 8e301]), np.array([1.0, 2.0, 3.0, 3.5])),
+    ]
+    rows = [
+        f"{float(si)!r},{float(yi)!r},{label}" for label, s, y in curves for si, yi in zip(s, y)
+    ]
+    panel = _write(tmp_path, "top.csv", "substrate,velocity,group\n" + "\n".join(rows) + "\n")
+    b_rows = "\n".join(row.removesuffix(",b") for row in rows if row.endswith(",b"))
+    curve = _write(tmp_path, "b.csv", "substrate,velocity\n" + b_rows + "\n")
+
+    def run(argv, out):
+        code = cli_dispatch(argv + ["--format", "json", "--out", str(out)])
+        return code, out.read_bytes() if out.exists() else None, capsys.readouterr()
+
+    calls = [["group", "--input", panel]] + [
+        ["fit", "--input", curve, "--variance", spec.label()] for spec in DEFAULT_CANDIDATES
+    ]
+    for i, argv in enumerate(calls):
+        got = run(argv, tmp_path / f"strict{i}.json")
+        with np.errstate(all="ignore"):
+            want = run(argv, tmp_path / f"quiet{i}.json")
+        assert got == want
+        assert got[0] == (EXIT_OK if argv[0] == "group" else EXIT_DATA)
+    doc = json.loads((tmp_path / "strict0.json").read_text())
+    assert set(doc["panel"]["best_by_label"]) == {"a"}
 
 
 def test_cli_cluster(tmp_path, rng):

@@ -22,6 +22,7 @@ from mmhet.core import eval_h
 from mmhet.exceptions import InsufficientSuccesses, MMHetError
 from mmhet.rootfind import solve_rows
 from mmhet.simbench import ClusterBenchmarkConfig, compute_metrics, true_variance
+from test_bootstrap import assert_km_matches_chandrupatla, recorded_fit_rows
 
 TRUTH = MMParams(100.0, 20.0)
 
@@ -457,6 +458,7 @@ def test_single_benchmark_matches_fit_single_loop(monkeypatch, case):
             assert sc.replications - failed > fallback.count(True)  # fit in the batched stage
 
     fallback = _count_fallback(monkeypatch)
+    cells = recorded_fit_rows(monkeypatch, simbench)
     calls = []
     compute = simbench.compute_metrics
 
@@ -468,7 +470,9 @@ def test_single_benchmark_matches_fit_single_loop(monkeypatch, case):
     report = run_single_benchmark(SingleBenchmarkConfig(scenarios=(sc,)))
     if case == "fallback":
         assert len(fallback) == sc.replications * len(DEFAULT_CANDIDATES)
-    assert len(calls) == len(report.rows) == len(DEFAULT_CANDIDATES)
+    assert len(calls) == len(report.rows) == len(cells) == len(DEFAULT_CANDIDATES)
+    for cell in cells:
+        assert_km_matches_chandrupatla(*cell)
     for spec, args, row in zip(DEFAULT_CANDIDATES, calls, report.rows):
         est, intervals, ses, gammas = _loop_cell(datasets, spec)
         assert row.successes == len(est) and row.replications == sc.replications

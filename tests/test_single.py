@@ -22,7 +22,6 @@ from mmhet.exceptions import (
     NonconvergedFit,
     SingularInformation,
 )
-from mmhet.report import ReportDocument, emit_report, group_document_blocks
 from mmhet.rootfind import GRID_POINTS, k_bracket, log_grid, solve_rows
 from mmhet.single import COND_LIMIT, fit_rows, sym2_inverse
 from oracles import chandrupatla_roots, cov_2x2_inverse, grid_profile_wsse, lm_weighted_fit
@@ -474,9 +473,17 @@ def _mixed_panel():
     return panel
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_group_fit_matches_fit_single_loop(monkeypatch):
-    panel = _mixed_panel()
+def _on_grid_curve():
+    # A noiseless curve whose km is a grid point: every shape's profile
+    # equation vanishes there up to rounding, so no grid value there has a
+    # sign the shared scan can certify.
+    s = np.geomspace(0.5, 60.0, 9)
+    ks = log_grid(*k_bracket(s))
+    return Dataset(s, mm_mean(s, MMParams(40.0, float(ks[131]))))
+
+
+def _counted_fit_single(monkeypatch) -> list:
+    # the shape of each call screening makes to fit_single
     handed = []
     fit = single.fit_single
 
@@ -485,12 +492,36 @@ def test_group_fit_matches_fit_single_loop(monkeypatch):
         return fit(data, spec, *args, **kwargs)
 
     monkeypatch.setattr(single, "fit_single", counted)
+    return handed
+
+
+def _assert_entries_are_fit_singles(entries, data):
+    # screening entries equal to screen_models' contract written out with
+    # fit_single, field for field and bit for bit, solver diagnostics
+    # included
+    want = _screen_loop(data, DEFAULT_CANDIDATES)
+    assert [(e.spec, e.error, e.rank) for e in entries] == [(w[0], w[2], w[3]) for w in want]
+    for entry, (_, res, _, _) in zip(entries, want):
+        assert (entry.result is None) == (res is None)
+        if res is not None:
+            got = entry.result
+            assert (got.solver, got.variance_spec, got.alpha) == (
+                res.solver, res.variance_spec, res.alpha
+            )
+            assert _fit_numbers(got).tobytes() == _fit_numbers(res).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_group_fit_matches_fit_single_loop(monkeypatch):
+    panel = {**_mixed_panel(), "on-grid": _on_grid_curve()}
+    handed = _counted_fit_single(monkeypatch)
     out = group_fit(panel)
     monkeypatch.undo()
     # fit_single refits only the rows the batched stage cannot finish: the
-    # flat, falling and huge labels and the non-monotone curve's three
-    # unbracketed candidates
-    assert len(handed) == 3 * len(DEFAULT_CANDIDATES) + 3
+    # flat, falling and huge labels, the non-monotone curve's three
+    # unbracketed candidates and the on-grid curve, which fails the sign
+    # certificate
+    assert len(handed) == 4 * len(DEFAULT_CANDIDATES) + 3
 
     want_errors = {}
     for label, data in panel.items():
@@ -511,7 +542,11 @@ def test_group_fit_matches_fit_single_loop(monkeypatch):
             )
             assert (entry.result.variance_spec, entry.result.alpha) == (res.variance_spec, res.alpha)
             x, y = _fit_numbers(entry.result), _fit_numbers(res)
-            assert np.max(np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)) <= 1e-12
+            # equal values drop out first: the on-grid curve's zero-dispersion
+            # fits have an infinite loglik
+            x, y = x[x != y], y[x != y]
+            scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
+            assert np.all(np.abs(x - y) <= 1e-12 * scale)
     assert out.label_errors == want_errors
     assert set(want_errors) == {"degenerate", "huge", "flat", "falling"}
     assert "plug-in vmax = -" in want_errors["falling"]
@@ -674,65 +709,47 @@ def test_fit_rows_matches_fit_single_loop(monkeypatch, spec):
 # --- the screening grid scan's sign certificate ---------------------------------
 
 
-def _group_report(panel) -> bytes:
-    fits, blocks = group_document_blocks(group_fit(panel))
-    doc = ReportDocument(kind="group", input_digest="", fits=fits, panel=blocks)
-    return emit_report(doc, "json")
-
-
-def _exact_scans(monkeypatch) -> list:
-    # the rows each full-grid call of the exact formula scans
-    rows, terms = [], single._grid_terms
-
-    def recorded(ks, s, h):
-        if ks.shape[-1] == GRID_POINTS:
-            rows.append(ks.shape[0])
-        return terms(ks, s, h)
-
-    monkeypatch.setattr(single, "_grid_terms", recorded)
-    return rows
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_exact_scan_of_every_row_gives_the_same_report(monkeypatch):
-    # The shared scan decides only brackets and sign-change counts, and
-    # only for rows that pass its certificate.  With the threshold at
-    # infinity no row passes and each is scanned by the exact formula; the
-    # report does not change by one byte.
+def test_every_row_failing_the_certificate_is_refit_through_fit_single(monkeypatch):
+    # The shared scan decides brackets and sign-change counts only for rows
+    # that pass its certificate; every other row is refit through
+    # fit_single.  With the threshold at infinity no row passes, so every
+    # screened row is fit_single's own, solver diagnostics included.
     panel = _mixed_panel()
-    scanned = _exact_scans(monkeypatch)
-    shared = _group_report(panel)
-    # only the 1e155-scaled curve lies outside SCAN_RANGE
-    assert sum(scanned) == len(DEFAULT_CANDIDATES)
-    scanned.clear()
     monkeypatch.setattr(single, "CERT_TOL", np.inf)
-    assert _group_report(panel) == shared
+    handed = _counted_fit_single(monkeypatch)
+    out = group_fit(panel)
+    monkeypatch.undo()
     screened = len(panel) - 1  # all labels but the degenerate one
-    assert sum(scanned) == screened * len(DEFAULT_CANDIDATES)
+    assert len(handed) == screened * len(DEFAULT_CANDIDATES)
+    for label, data in panel.items():
+        if label in out.label_errors:
+            with pytest.raises(AllCandidatesFailed):
+                _screen_loop(data, DEFAULT_CANDIDATES)
+            assert out.per_label[label] == []
+        else:
+            _assert_entries_are_fit_singles(out.per_label[label], data)
+    assert set(out.label_errors) == {"degenerate", "huge", "flat", "falling"}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_curve_with_km_on_a_grid_point_takes_the_exact_scan(monkeypatch):
-    # A noiseless curve whose km is a grid point: every shape's profile
-    # equation vanishes there up to rounding, so the shared values cannot
-    # certify its sign and each row is scanned by the exact formula.
-    s = np.geomspace(0.5, 60.0, 9)
-    ks = log_grid(*k_bracket(s))
-    data = Dataset(s, mm_mean(s, MMParams(40.0, float(ks[131]))))
-    scanned = _exact_scans(monkeypatch)
+def test_curve_with_km_on_a_grid_point_is_refit_through_fit_single(monkeypatch):
+    # The value at km rounds to an exact zero in one formula and to a sign
+    # change in another, so the exact batched formula and fit_single's scan
+    # can count sign changes differently there.  No row of this curve
+    # passes the certificate, so each is refit through fit_single and
+    # reports fit_single's result and grid signs exactly.
+    data = _on_grid_curve()
+    handed = _counted_fit_single(monkeypatch)
     out = group_fit({"on-grid": data})
-    assert sum(scanned) == len(DEFAULT_CANDIDATES)
     monkeypatch.undo()
-    # gamma is rounding noise here, and so are the information criteria and
-    # the ranks; the estimates are not.  Whether the value at km rounds to
-    # an exact zero or to a sign change differs between the batched and the
-    # one-curve formula, so the two may count sign changes differently.
-    for entry in out.per_label["on-grid"]:
-        want = fit_single(data, entry.spec)
+    assert len(handed) == len(DEFAULT_CANDIDATES)
+    entries = out.per_label["on-grid"]
+    _assert_entries_are_fit_singles(entries, data)
+    km = log_grid(*k_bracket(data.s))[131]
+    for entry in entries:
         assert entry.error is None and entry.result.solver.used_root
-        got, ref = entry.result.params.as_array(), want.params.as_array()
-        assert np.max(np.abs(got - ref) / ref) <= 1e-12
-        assert abs(entry.result.params.km / ks[131] - 1.0) <= 1e-12
+        assert abs(entry.result.params.km / km - 1.0) <= 1e-12
 
 
 def _benchmark_curves(rng, curves, n=None):
